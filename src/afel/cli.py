@@ -162,10 +162,16 @@ def cmd_polyoid(args) -> dict:
     if args.action == "body":
         return jsonio.polytope_to_json(polyoid.body_of_measure(mu))
     if args.action == "verify":
+        if args.body is None:
+            raise JsonFormatError("--body", "required for polyoid verify")
         body = _load_body(args.body)
         dirs = _sample_directions(mu.n, args.samples, args.seed)
         return {"verified": polyoid.verify_generating(mu, body, dirs)}
     if args.action == "pushforward":
+        if args.z is None:
+            raise JsonFormatError("--z", "required for polyoid pushforward")
+        if not any(args.z):
+            raise JsonFormatError("--z", "zero vector has no direction")
         z = Direction.of(args.z)
         return jsonio.measure_to_json(polyoid.support_pushforward(mu, z))
     return jsonio.approx_measure_to_json(polyoid.steiner_normalize(mu))

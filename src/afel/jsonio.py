@@ -32,6 +32,8 @@ def frac_to_str(x) -> str:
 
 
 def parse_frac(s, path: str):
+    if isinstance(s, bool):  # bool is an int subclass: true would read as 1
+        raise JsonFormatError(path, "expected rational string, got bool")
     if isinstance(s, int):
         return s
     if not isinstance(s, str):

@@ -82,28 +82,23 @@ def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
         raise PreconditionError("segment summands implemented for ambient dimension 3")
     dz = d.z
     dd = dot(dz, dz)
-    candidates = {Fraction(0)}
-    for v, w in itertools.combinations(p.vertices, 2):
-        t = Fraction(dot(vsub(v, w), dz), dd)
-        candidates.add(abs(t))
     bound = None
     if p.dim == 3:
-        bound = Fraction(0)
-        has_perp = False
-        perp_bounds = []
-        for f in p.facets:
-            if dot(f.normal.z, dz) == 0:
-                has_perp = True
-                perp_bounds.append(_facet_bound(p, f, dz))
-        if has_perp:
-            bound = min(perp_bounds)
-        else:
-            # a positive segment summand forces an edge (hence a
-            # perpendicular facet pair) in direction d
+        perp_bounds = [_facet_bound(p, f, dz) for f in p.facets
+                       if dot(f.normal.z, dz) == 0]
+        # a positive segment summand forces an edge (hence a perpendicular
+        # facet pair) in direction d
+        if not perp_bounds:
             return Fraction(0)
+        bound = min(perp_bounds)
         if bound == 0:
             return Fraction(0)
-    lam = sorted(c for c in candidates if bound is None or c <= bound)
+    candidates = {Fraction(0)}
+    for v, w in itertools.combinations(p.vertices, 2):
+        t = abs(Fraction(dot(vsub(v, w), dz), dd))
+        if bound is None or t <= bound:
+            candidates.add(t)
+    lam = sorted(candidates)
 
     def passes(t: Fraction) -> bool:
         if t == 0:

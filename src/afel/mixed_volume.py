@@ -7,21 +7,22 @@ must agree with it to the last bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
     SupportDiff,
     VPolytope,
     minkowski_sum,
-    minkowski_sum_many,
     scale_translate,
     support_value,
 )
+from .hull import _shoelace
 from .linalg import solve_linear
 
 
@@ -29,15 +30,6 @@ from .linalg import solve_linear
 class MixedVolumeResult:
     value: Fraction
     method: str  # "inclusion_exclusion" | "interpolation" | "facet_integral"
-
-
-def _shoelace(verts) -> Fraction:
-    s = 0
-    for k in range(len(verts)):
-        x0, y0 = verts[k]
-        x1, y1 = verts[(k + 1) % len(verts)]
-        s += x0 * y1 - x1 * y0
-    return Fraction(abs(s), 2)
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -96,52 +88,73 @@ def _multiset_exponents(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
-    """Coefficient extraction from the volume polynomial of Minkowski
-    combinations, on integer nodes with an exact linear solve."""
-    n = _check_tuple(bodies)
+@functools.lru_cache(maxsize=None)
+def _interpolation_plan(n: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """Nodes a and weights w with sum_j w_j * vol(sum_i a_ji K_i) equal to
+    n! * V(K_1, ..., K_n) for every body tuple; zero-weight nodes dropped.
+
+    Nodes are the first full-rank set of the lex-ordered grid {1..n+1}^n
+    under greedy selection of the monomial rows (fraction-free elimination
+    with gcd normalisation); the weights are the row of the inverse that
+    extracts the a_1*...*a_n coefficient.
+    """
     exps = _multiset_exponents(n)
     m = len(exps)
-
-    def monomial_row(a):
-        out = []
-        for alpha in exps:
-            v = 1
-            for ai, e in zip(a, alpha):
-                v *= ai ** e
-            out.append(Fraction(v))
-        return tuple(out)
-
-    # greedy full-rank node selection over the lex-ordered integer grid
-    nodes = []
-    rows = []
-    reduced: list[list[Fraction]] = []
+    nodes: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
+    reduced: list[tuple[int, list[int]]] = []  # (lead column, primitive row)
     for a in itertools.product(range(1, n + 2), repeat=n):
-        row = monomial_row(a)
-        work = list(row)
-        for piv in reduced:
-            lead = next(i for i, x in enumerate(piv) if x != 0)
-            if work[lead] != 0:
-                f = work[lead] / piv[lead]
-                work = [x - f * y for x, y in zip(work, piv)]
+        row = [math.prod(ai ** e for ai, e in zip(a, alpha)) for alpha in exps]
+        work = row
+        for lead, piv in reduced:
+            c = work[lead]
+            if c:
+                p = piv[lead]
+                work = [p * x - c * y for x, y in zip(work, piv)]
+                g = math.gcd(*work)
+                if g > 1:
+                    work = [x // g for x in work]
         if any(work):
-            reduced.append(work)
+            lead = next(i for i, x in enumerate(work) if x)
+            reduced.append((lead, work))
             nodes.append(a)
             rows.append(row)
             if len(rows) == m:
                 break
-    assert len(rows) == m, "interpolation grid failed to reach full rank"
+    if len(rows) != m:
+        raise TheoryViolationError(f"interpolation grid in R^{n} failed to reach full rank")
+    target = [0] * m
+    target[exps.index((1,) * n)] = 1
+    sol = solve_linear(list(zip(*rows)), target)
+    if sol is None or sol[1]:
+        raise TheoryViolationError(f"interpolation system in R^{n} is singular")
+    return tuple((a, w) for a, w in zip(nodes, sol[0]) if w)
 
-    rhs = []
-    for a in nodes:
-        scaled = [scale_translate(b, ai, (0,) * n) for ai, b in zip(a, bodies)]
-        rhs.append(volume(minkowski_sum_many(scaled)))
-    sol = solve_linear(rows, rhs)
-    assert sol is not None
-    coeffs, null = sol
-    assert not null
-    target = exps.index(tuple([1] * n))
-    return Fraction(coeffs[target], math.factorial(n))
+
+def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
+    """Coefficient extraction from the volume polynomial of Minkowski
+    combinations: a fixed weighted sum of volumes at integer nodes."""
+    n = _check_tuple(bodies)
+    # fold smallest body first, as minkowski_sum_many does; the first n-1
+    # scaled bodies of a node are a prefix that later nodes often share
+    order = sorted(range(n), key=lambda i: len(bodies[i].vertices))
+    origin = (0,) * n
+    prefixes: dict[tuple[tuple[int, int], ...], VPolytope] = {}
+    total = Fraction(0)
+    for a, w in _interpolation_plan(n):
+        key: tuple[tuple[int, int], ...] = ()
+        acc = None
+        for k, i in enumerate(order):
+            key += ((i, a[i]),)
+            nxt = prefixes.get(key)
+            if nxt is None:
+                scaled = scale_translate(bodies[i], a[i], origin)
+                nxt = scaled if acc is None else minkowski_sum(acc, scaled)
+                if k < n - 1:
+                    prefixes[key] = nxt
+            acc = nxt
+        total += w * volume(acc)
+    return Fraction(total, math.factorial(n))
 
 
 def mixed_volume_via_measure(bodies: Sequence[VPolytope]) -> Fraction:

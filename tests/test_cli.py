@@ -155,6 +155,38 @@ def test_polyoid_cli(tmp_path):
     assert r.returncode == 0
 
 
+def _polyoid_measure(tmp_path):
+    mu = {"atoms": [
+        {"weight": "1", "polytope": {"dim": 2, "vertices": [["0", "0"], ["1", "0"]]}},
+    ]}
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(mu))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify"],
+    ["pushforward"],
+    ["pushforward", "--z", "0", "0"],
+], ids=["verify-no-body", "pushforward-no-z", "pushforward-zero-z"])
+def test_polyoid_cli_bad_arguments(tmp_path, args):
+    r = run_cli(["polyoid", args[0], "--measure", _polyoid_measure(tmp_path)] + args[1:])
+    assert r.returncode == 1
+    assert r.stderr.startswith("input error:")
+    assert "Traceback" not in r.stderr
+
+
+def test_boolean_coordinate_rejected(tmp_path):
+    body = {"dim": 3, "vertices": [[True, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(body))
+    r = run_cli(["mixed-volume", "--bodies", str(path), str(path), str(path)])
+    assert r.returncode == 1
+    assert "vertices[0][0]" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_measure_json_round_trip():
     from fractions import Fraction
 

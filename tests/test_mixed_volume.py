@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,9 @@ from afel.mixed_volume import (
 )
 
 from conftest import random_body
+
+# the package re-exports the function mixed_volume under the module's name
+mv_module = sys.modules["afel.mixed_volume"]
 
 
 def test_volume_examples(unit_cube, tetra):
@@ -116,3 +121,19 @@ def test_diff_examples(unit_cube):
     big = scale_translate(unit_cube, 2, (0, 0, 0))
     f = SupportDiff(unit_cube, big)
     assert mixed_volume_diff([f, f, unit_cube]) == 1
+
+
+@pytest.mark.parametrize("n, count", [(2, 3), (3, 8), (4, 20)])
+def test_interpolation_plan_extracts_mixed_coefficient(n, count):
+    # checked with plain int/Fraction sums: sum_j w_j * prod_i a_ji^alpha_i
+    # is 1 for alpha = (1, ..., 1) and 0 for every other degree-n exponent
+    plan = mv_module._interpolation_plan(n)
+    assert len(plan) == count
+    for a, w in plan:
+        assert len(a) == n and all(isinstance(x, int) and 1 <= x <= n + 1 for x in a)
+        assert isinstance(w, Fraction) and w != 0
+    for alpha in itertools.product(range(n + 1), repeat=n):
+        if sum(alpha) != n:
+            continue
+        s = sum(w * math.prod(x ** e for x, e in zip(a, alpha)) for a, w in plan)
+        assert s == (1 if alpha == (1,) * n else 0), alpha
