@@ -56,7 +56,6 @@ from .macroid import (
     zonotope_kernel,
 )
 from .mixed_volume import (
-    MixedVolumeResult,
     mixed_volume,
     mixed_volume_diff,
     mixed_volume_interpolated,

@@ -127,26 +127,35 @@ def _merged_pieces(k: VPolytope, l: VPolytope, z1: Direction, z2: Direction):
     return out
 
 
-def _support_system(k: VPolytope, l: VPolytope, c: VPolytope):
-    """Stacked exact constraints for h_K = a h_L + <x, .> on the arc support,
-    unknowns (a, x1, x2, x3)."""
-    arcs = ball_support_arcs(c)
+def _arc_constraints(plus: VPolytope, minus: VPolytope, c: VPolytope, constraint):
+    """Stacked exact constraints on the arc support of S(B^3, C, .): each
+    nondegenerate piece of the merged envelopes of plus and minus contributes
+    constraint(z, v_plus, v_minus) -> (row, rhs) at both arc ends z, once."""
     rows = []
     rhs = []
     seen = set()
-    for z1, z2 in arcs.arcs:
-        for lo, hi, vk, vl in _merged_pieces(k, l, z1, z2):
+    for z1, z2 in ball_support_arcs(c).arcs:
+        for lo, hi, vp, vm in _merged_pieces(plus, minus, z1, z2):
             if lo == hi:
                 continue
             for z in (z1, z2):
-                row = (Fraction(dot(vl, z.z)),) + tuple(Fraction(c_) for c_ in z.z)
-                b = Fraction(dot(vk, z.z))
-                key = (row, b)
+                key = constraint(z, vp, vm)
                 if key not in seen:
                     seen.add(key)
-                    rows.append(row)
-                    rhs.append(b)
+                    rows.append(key[0])
+                    rhs.append(key[1])
     return rows, rhs
+
+
+def _homothety_constraint(z: Direction, vk, vl):
+    """h_K(z) = a h_L(z) + <x, z>, unknowns (a, x1, x2, x3)."""
+    row = (Fraction(dot(vl, z.z)),) + tuple(Fraction(c) for c in z.z)
+    return row, Fraction(dot(vk, z.z))
+
+
+def _linearity_constraint(z: Direction, vp, vm):
+    """f(z) = <x, z> for f = h_plus - h_minus, unknowns (x1, x2, x3)."""
+    return tuple(Fraction(c) for c in z.z), Fraction(dot(vp, z.z) - dot(vm, z.z))
 
 
 def equality_by_support(k: VPolytope, l: VPolytope,
@@ -159,7 +168,7 @@ def equality_by_support(k: VPolytope, l: VPolytope,
         raise PreconditionError("C must be full-dimensional (supercritical)")
     if mixed_volume([k, l, c]) <= 0:
         raise PreconditionError("V(K,L,C) > 0 required for the positive branch")
-    rows, rhs = _support_system(k, l, c)
+    rows, rhs = _arc_constraints(k, l, c, _homothety_constraint)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
@@ -176,7 +185,8 @@ def equality_by_support(k: VPolytope, l: VPolytope,
         return None
     # exact re-verification on every sub-arc constraint
     vec = (a,) + tuple(x)
-    assert all(dot(row, vec) == b for row, b in zip(rows, rhs))
+    if any(dot(row, vec) != b for row, b in zip(rows, rhs)):
+        raise TheoryViolationError("homothety witness fails a sub-arc constraint")
     return a, tuple(x)
 
 
@@ -186,23 +196,8 @@ def linearity_on_arcs(f: SupportDiff, c: VPolytope) -> Optional[tuple]:
         raise PreconditionError("arc linearity requires ambient dimension 3")
     if c.dim != 3:
         raise PreconditionError("C must be full-dimensional (supercritical)")
-    arcs = ball_support_arcs(c)
-    rows = []
-    rhs = []
-    seen = set()
-    for z1, z2 in arcs.arcs:
-        for lo, hi, vp, vq in _merged_pieces(f.plus, f.minus, z1, z2):
-            if lo == hi:
-                continue
-            for z in (z1, z2):
-                row = tuple(Fraction(c_) for c_ in z.z)
-                b = Fraction(dot(vp, z.z) - dot(vq, z.z))
-                if (row, b) not in seen:
-                    seen.add((row, b))
-                    rows.append(row)
-                    rhs.append(b)
-    x = min_norm_solution(rows, rhs)
-    return x
+    rows, rhs = _arc_constraints(f.plus, f.minus, c, _linearity_constraint)
+    return min_norm_solution(rows, rhs)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, sqrt
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
+    DiffArg,
     Direction,
-    SupportDiff,
     VPolytope,
     convex_hull,
+    expand_support_diffs,
     minkowski_sum_many,
     support_set,
     support_value,
@@ -125,12 +126,9 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
 
 def _hyperplane_normal(diffs) -> tuple[int, ...]:
     sol = solve_linear([tuple(r) for r in diffs], [0] * len(diffs))
-    assert sol is not None and sol[1], "expected a one-dimensional normal space"
-    assert len(sol[1]) == 1
+    if sol is None or len(sol[1]) != 1:
+        raise TheoryViolationError("expected a one-dimensional normal space")
     return primitive(sol[1][0])
-
-
-DiffArg = Union[VPolytope, SupportDiff]
 
 
 def mixed_area_diff(args: Sequence[DiffArg]) -> AtomicMeasure:
@@ -141,19 +139,8 @@ def mixed_area_diff(args: Sequence[DiffArg]) -> AtomicMeasure:
     n = args[0].n
     if len(args) != n - 1:
         raise PreconditionError(f"needs exactly {n - 1} arguments")
-    choices = []
-    for a in args:
-        if isinstance(a, SupportDiff):
-            choices.append(((1, a.plus), (-1, a.minus)))
-        else:
-            choices.append(((1, a),))
     out = AtomicMeasure({})
-    for combo in itertools.product(*choices):
-        sign = 1
-        tup = []
-        for s, body in combo:
-            sign *= s
-            tup.append(body)
+    for sign, tup in expand_support_diffs(args):
         out = out.plus(mixed_area_measure(tup).scaled(sign))
     return out
 
@@ -173,7 +160,8 @@ class ArcSupport:
             if sol is None:
                 continue
             (a, b), null = sol
-            assert not null  # z1, z2 independent
+            if null:
+                raise TheoryViolationError("arc ends are not independent")
             if a >= 0 and b >= 0:
                 return True
         return False

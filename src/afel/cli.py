@@ -3,17 +3,14 @@
 Exit codes: 0 success, 1 malformed input (with location diagnostics),
 2 precondition violation, 3 theory violation (a library bug, never an
 expected outcome).  Reports are deterministic: identical inputs, seed and
-version give byte-identical output.  AFEL_THREADS caps the thread pool used
-for independent batch items; results never depend on the schedule.
+version give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 from . import afi, area_measure, criticality, generators, jsonio, macroid, polyoid
@@ -21,7 +18,6 @@ from .errors import PreconditionError, TheoryViolationError
 from .geometry import Direction, SupportDiff
 from .jsonio import JsonFormatError, frac_to_str
 from .mixed_volume import (
-    MixedVolumeResult,
     mixed_volume,
     mixed_volume_interpolated,
     mixed_volume_via_measure,
@@ -31,13 +27,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_THEORY = 3
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("AFEL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str):
@@ -87,8 +76,7 @@ def cmd_mixed_volume(args) -> dict:
         "interp": (mixed_volume_interpolated, "interpolation"),
         "measure": (mixed_volume_via_measure, "facet_integral"),
     }[args.method]
-    result = MixedVolumeResult(fn(bodies), name)
-    return {"value": frac_to_str(result.value), "method": result.method}
+    return {"value": frac_to_str(fn(bodies)), "method": name}
 
 
 def cmd_area_measure(args) -> dict:
@@ -164,6 +152,8 @@ def cmd_polyoid(args) -> dict:
     if args.action == "verify":
         if args.body is None:
             raise JsonFormatError("--body", "required for polyoid verify")
+        if args.samples < 1:
+            raise JsonFormatError("--samples", "must be at least 1")
         body = _load_body(args.body)
         dirs = _sample_directions(mu.n, args.samples, args.seed)
         return {"verified": polyoid.verify_generating(mu, body, dirs)}
@@ -230,14 +220,11 @@ def _gen_one(kind: str, seed: int, args):
 
 
 def cmd_gen(args) -> dict:
-    seeds = [args.seed + i for i in range(args.count)]
-    if len(seeds) > 1 and _workers() > 1:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            batches = list(pool.map(lambda s: _gen_one(args.kind, s, args), seeds))
-    else:
-        batches = [_gen_one(args.kind, s, args) for s in seeds]
+    if args.count < 1:
+        raise JsonFormatError("--count", "must be at least 1")
     out = []
-    for seed, bodies in zip(seeds, batches):
+    for seed in range(args.seed, args.seed + args.count):
+        bodies = _gen_one(args.kind, seed, args)
         out.append({"seed": seed,
                     "bodies": [jsonio.polytope_to_json(b) for b in bodies]})
     return {"instances": out} if args.count > 1 else out[0]

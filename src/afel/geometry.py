@@ -14,17 +14,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from math import gcd as _gcd
 
 from . import hull as _hull
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoryViolationError
 from .linalg import (
     dot,
     matrank,
     norm_sq,
     num,
+    pivot_columns,
     primitive,
     solve_linear,
     vadd,
@@ -111,28 +112,6 @@ class VPolytope:
         return [f.normal for f in self.facets]
 
 
-def _affine_pivot_columns(diffs: list[Vec], n: int) -> list[int]:
-    """Column indices of a maximal independent set of coordinates, so that
-    projecting to them is injective on span(diffs)."""
-    m = [[Fraction(x) for x in d] for d in diffs]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, n):
-                    m[i][j] -= f * m[row][j]
-        pivots.append(col)
-        row += 1
-    return pivots
-
-
 def _integerize(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
     """Common-denominator integer copies of the points, plus the scale."""
     den = 1
@@ -170,7 +149,7 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
         scored = sorted(pts)
         return VPolytope(n, 1, (scored[0], scored[-1]))
     if dim < n:
-        cols = _affine_pivot_columns(diffs, n)
+        cols = pivot_columns(diffs)
         reduced = [tuple(p[c] for c in cols) for p in pts]
         sub = convex_hull(reduced)
         vert_set = set(sub.vertices)
@@ -212,10 +191,6 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
         k = cycle.index(min(cycle))
         cycle = cycle[k:] + cycle[:k]
     return VPolytope(n, n, verts, tuple(facets), edges, cycle)
-
-
-def polytope_from_vertices(coords: Iterable[Sequence]) -> VPolytope:
-    return convex_hull(coords)
 
 
 def singleton(x: Sequence) -> VPolytope:
@@ -322,7 +297,7 @@ def contains_point(p: VPolytope, x: Sequence) -> bool:
         d = vsub(b, a)
         t = dot(vsub(xv, a), d)
         return 0 <= t <= norm_sq(d) and vscale(t, d) == vscale(norm_sq(d), vsub(xv, a))
-    cols = _affine_pivot_columns(diffs, p.n)
+    cols = pivot_columns(diffs)
     red = convex_hull([tuple(v[c] for c in cols) for v in p.vertices])
     return contains_point(red, tuple(xv[c] for c in cols))
 
@@ -346,7 +321,7 @@ def dist_sq_point(p: VPolytope, x: Sequence) -> Fraction:
             d = vsub(xv, y)
             if all(dot(d, vsub(w, y)) <= 0 for w in verts):
                 return norm_sq(d)
-    raise AssertionError("projection enumeration failed")  # unreachable
+    raise TheoryViolationError("projection enumeration failed")  # unreachable
 
 
 def _project_affine(x: Vec, sub: tuple[Vec, ...]) -> Optional[Vec]:
@@ -406,6 +381,23 @@ class SupportDiff:
         return support_value(self.plus, z) - support_value(self.minus, z)
 
 
+DiffArg = Union[VPolytope, SupportDiff]
+
+
+def expand_support_diffs(args: Sequence[DiffArg]) -> Iterator[tuple[int, list[VPolytope]]]:
+    """Terms (sign, bodies) of the multilinear expansion of a tuple of bodies
+    and support differences over the plus/minus parts of each difference."""
+    choices = [((1, a.plus), (-1, a.minus)) if isinstance(a, SupportDiff) else ((1, a),)
+               for a in args]
+    for combo in itertools.product(*choices):
+        sign = 1
+        bodies = []
+        for s, body in combo:
+            sign *= s
+            bodies.append(body)
+        yield sign, bodies
+
+
 # ---------------------------------------------------------------------------
 # Minkowski difference and summands
 
@@ -415,7 +407,7 @@ def _subspace_chart(p: VPolytope):
     exact inverse, as (project, unproject) callables."""
     v0 = p.vertices[0]
     diffs = [vsub(v, v0) for v in p.vertices[1:]]
-    cols = _affine_pivot_columns(diffs, p.n)
+    cols = pivot_columns(diffs)
     basis: list[Vec] = []
     for d in diffs:
         if matrank(basis + [d]) > len(basis):
@@ -428,7 +420,8 @@ def _subspace_chart(p: VPolytope):
     def unproject(c: Vec) -> Vec:
         rows = [tuple(pb[i] for pb in proj_basis) for i in range(len(cols))]
         sol = solve_linear(rows, c)
-        assert sol is not None
+        if sol is None:
+            raise TheoryViolationError("point outside the chart's subspace")
         t, _ = sol
         out = tuple(Fraction(0) for _ in range(p.n))
         for ti, b in zip(t, basis):

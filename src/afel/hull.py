@@ -1,4 +1,4 @@
-"""Exact convex hull with facet structure, dimensions 1 through 4.
+"""Exact convex hull with facet structure, dimensions 2 through 4.
 
 Input is a deduplicated list of integer coordinate tuples that affinely span
 R^d.  The algorithm is gift wrapping: facets are discovered by rotating a
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import TheoryViolationError
 from .linalg import cross3, cross4, dot, primitive, vsub
 
 
@@ -45,23 +46,11 @@ class HullResult:
 
 
 def hull_structure(points: list[tuple[int, ...]], d: int) -> HullResult:
-    if d == 1:
-        return _hull_1d(points)
     if d == 2:
         return _hull_2d(points)
     if d in (3, 4):
         return _wrap(points, d)
     raise ValueError(f"unsupported hull dimension {d}")
-
-
-def _hull_1d(points) -> HullResult:
-    lo = min(range(len(points)), key=lambda i: points[i][0])
-    hi = max(range(len(points)), key=lambda i: points[i][0])
-    facets = (
-        RawFacet((1,), points[hi][0], (hi,), 0, Fraction(1)),
-        RawFacet((-1,), -points[lo][0], (lo,), 0, Fraction(1)),
-    )
-    return HullResult(1, tuple(sorted({lo, hi})), facets, ())
 
 
 def _hull_2d(points) -> HullResult:
@@ -100,27 +89,21 @@ def _hull_2d(points) -> HullResult:
 
 def _perp_vector(z, basis, d) -> tuple[int, ...]:
     """Nonzero integer vector orthogonal to z and every basis vector."""
-    if d == 3:
-        if not basis:
-            i = next(k for k in range(3) if z[k] != 0)
-            j = (i + 1) % 3
-            w = [0, 0, 0]
-            w[j], w[i] = z[i], -z[j]
-            return tuple(w)
-        return cross3(z, basis[0])
     if not basis:
-        i = next(k for k in range(4) if z[k] != 0)
-        j = (i + 1) % 4
-        w = [0, 0, 0, 0]
+        i = next(k for k in range(d) if z[k] != 0)
+        j = (i + 1) % d
+        w = [0] * d
         w[j], w[i] = z[i], -z[j]
         return tuple(w)
+    if d == 3:
+        return cross3(z, basis[0])
     if len(basis) == 1:
         for k in range(4):
             e = tuple(1 if t == k else 0 for t in range(4))
             w = cross4(z, basis[0], e)
             if any(w):
                 return w
-        raise AssertionError("no perpendicular found")
+        raise TheoryViolationError("no perpendicular found")
     return cross4(z, basis[0], basis[1])
 
 
@@ -142,7 +125,8 @@ def _initial_facet(points, d) -> tuple[tuple[int, ...], int]:
         if not any(x > 0 for x in b):
             w = tuple(-x for x in w)
             b = [-x for x in b]
-        assert any(x > 0 for x in b), "input not full-dimensional"
+        if not any(x > 0 for x in b):
+            raise TheoryViolationError("input not full-dimensional")
         # rotate z toward w until the first point is hit
         best = None
         for i, (ai, bi) in enumerate(zip(a, b)):
@@ -155,21 +139,26 @@ def _initial_facet(points, d) -> tuple[tuple[int, ...], int]:
         basis.append(vsub(points[best], p0))
         # recompute offsets relative to the (possibly rotated) plane
         h = dot(p0, z)
-        assert all(dot(p, z) <= h for p in points)
+        if any(dot(p, z) > h for p in points):
+            raise TheoryViolationError("pivoted hyperplane does not support the points")
     return z, dot(p0, z)
 
 
 def hull_volume(points, h: "HullResult") -> Fraction:
-    """Exact d-volume of a hull over its own structure (d = 1, 2 or 3)."""
-    if h.dim == 1:
-        xs = [points[i][0] for i in h.vertex_ids]
-        return Fraction(max(xs) - min(xs))
+    """Exact d-volume of a hull over its own structure (d = 2 or 3)."""
     if h.dim == 2:
         return _shoelace([points[i] for i in h.cycle])
+    return divergence_volume(((f.offset, f.proj_volume, f.normal[f.drop])
+                              for f in h.facets), h.dim)
+
+
+def divergence_volume(facets, d: int) -> Fraction:
+    """Divergence theorem over (offset, projected volume, normal[drop])
+    facet triples: (1/d) * sum of offset * proj_volume / |normal[drop]|."""
     total = Fraction(0)
-    for f in h.facets:
-        total += Fraction(f.offset * f.proj_volume, abs(f.normal[f.drop]))
-    return total / 3
+    for offset, proj_volume, z_drop in facets:
+        total += Fraction(offset * proj_volume, abs(z_drop))
+    return Fraction(total, d)
 
 
 def _shoelace(verts) -> Fraction:
@@ -219,7 +208,8 @@ def _wrap(points, d) -> HullResult:
         onplane = []
         for i in range(n_pts):
             s = dot(points[i], normal)
-            assert s <= offset
+            if s > offset:
+                raise TheoryViolationError("point beyond a facet hyperplane")
             on = s == offset
             flags.append(on)
             if on:
@@ -253,7 +243,8 @@ def _wrap(points, d) -> HullResult:
                 if _independent2(u1, cand):
                     u2 = cand
                     break
-            assert u2 is not None, "ridge does not span d-2 dimensions"
+            if u2 is None:
+                raise TheoryViolationError("ridge does not span d-2 dimensions")
 
         def plane_normal(v):
             return cross3(u1, v) if d == 3 else cross4(u1, u2, v)
@@ -265,7 +256,8 @@ def _wrap(points, d) -> HullResult:
             if any(nv):
                 q_in = v
                 break
-        assert q_in is not None
+        if q_in is None:
+            raise TheoryViolationError("facet has no point off its ridge")
 
         flags = onplane_flags[fid]
         best_n = None
@@ -275,7 +267,8 @@ def _wrap(points, d) -> HullResult:
                 continue
             if best_n is None:
                 nc = plane_normal(vsub(points[c], r0))
-                assert any(nc)
+                if not any(nc):
+                    raise TheoryViolationError("candidate point on the ridge's affine span")
                 if dot(q_in, nc) > 0:
                     nc = tuple(-x for x in nc)
                 best_n = nc
@@ -287,10 +280,12 @@ def _wrap(points, d) -> HullResult:
                     nc = tuple(-x for x in nc)
                 best_n = nc
                 rb = dot(r0, best_n)
-        assert best_n is not None, "ridge with no opposite facet: input degenerate"
+        if best_n is None:
+            raise TheoryViolationError("ridge with no opposite facet: input degenerate")
         z_new = primitive(best_n)
         add_facet(z_new, dot(r0, z_new))
-        assert rkey not in pending, "wrap failed to close ridge"
+        if rkey in pending:
+            raise TheoryViolationError("wrap failed to close ridge")
 
     verts = sorted({i for f in facets for i in f.points})
     return HullResult(d, tuple(verts), tuple(facets), tuple(adjacency))

@@ -12,7 +12,7 @@ from typing import Any
 
 from .area_measure import ArcSupport, AtomicMeasure
 from .errors import AfelError
-from .geometry import Direction, VPolytope, convex_hull
+from .geometry import VPolytope, convex_hull
 from .linalg import num
 from .numerics import FloatWithError
 from .polyoid import ApproxMeasure, BodyMeasure
@@ -102,14 +102,6 @@ def atomic_measure_to_json(m: AtomicMeasure) -> dict:
 def arcs_to_json(arcs: ArcSupport) -> dict:
     return {"arcs": [{"z1": list(z1.z), "z2": list(z2.z)}
                      for z1, z2 in arcs.arcs]}
-
-
-def direction_from_json(obj: Any, path: str = "$") -> Direction:
-    if not isinstance(obj, list) or not all(isinstance(c, int) for c in obj):
-        raise JsonFormatError(path, "expected a list of integers")
-    if not any(obj):
-        raise JsonFormatError(path, "direction must be nonzero")
-    return Direction.of(obj)
 
 
 def float_err_to_json(fe: FloatWithError) -> dict:

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from .errors import TheoryViolationError
+
 Vec = tuple  # tuple of Fraction (or int where noted)
 
 
@@ -55,10 +57,6 @@ def dot(a: Vec, b: Vec):
 
 def norm_sq(a: Vec):
     return dot(a, a)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
 
 
 def cross3(a: Vec, b: Vec) -> Vec:
@@ -116,12 +114,14 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def matrank(rows: Sequence[Vec]) -> int:
-    """Rank via exact Gaussian elimination."""
+def pivot_columns(rows: Sequence[Vec]) -> list[int]:
+    """Pivot columns of exact Gaussian elimination: a maximal set of
+    coordinates on which projecting span(rows) is injective."""
     m = [list(map(Fraction, r)) for r in rows if any(r)]
     if not m:
-        return 0
+        return []
     ncols = len(m[0])
+    pivots: list[int] = []
     rank = 0
     col = 0
     while rank < len(m) and col < ncols:
@@ -136,9 +136,15 @@ def matrank(rows: Sequence[Vec]) -> int:
                 f = m[i][col] / pv
                 for j in range(col, ncols):
                     m[i][j] -= f * m[rank][j]
+        pivots.append(col)
         rank += 1
         col += 1
-    return rank
+    return pivots
+
+
+def matrank(rows: Sequence[Vec]) -> int:
+    """Rank via exact Gaussian elimination."""
+    return len(pivot_columns(rows))
 
 
 def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Optional[tuple[Vec, list[Vec]]]:
@@ -204,7 +210,8 @@ def min_norm_solution(rows: Sequence[Vec], rhs: Sequence,
               for i in range(k)]
     rhs2 = [-sum(pb[r][i] * px0[r] for r in range(len(coords))) for i in range(k)]
     inner = solve_linear([tuple(r) for r in normal], rhs2)
-    assert inner is not None  # normal equations are always consistent
+    if inner is None:
+        raise TheoryViolationError("inconsistent normal equations")
     t0, _ = inner
     x = list(x0)
     for bi, ti in zip(basis, t0):

@@ -10,26 +10,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
-    SupportDiff,
+    DiffArg,
     VPolytope,
+    expand_support_diffs,
     minkowski_sum,
     scale_translate,
     support_value,
 )
-from .hull import _shoelace
+from .hull import _shoelace, divergence_volume
 from .linalg import solve_linear
-
-
-@dataclass(frozen=True)
-class MixedVolumeResult:
-    value: Fraction
-    method: str  # "inclusion_exclusion" | "interpolation" | "facet_integral"
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -43,10 +37,8 @@ def volume(p: VPolytope) -> Fraction:
         return Fraction(0)
     if p.n == 2:
         return _shoelace([p.vertices[i] for i in p.cycle])
-    total = Fraction(0)
-    for f in p.facets:
-        total += Fraction(f.offset * f.proj_volume, abs(f.normal.z[f.drop]))
-    return Fraction(total, p.n)
+    return divergence_volume(((f.offset, f.proj_volume, f.normal.z[f.drop])
+                              for f in p.facets), p.n)
 
 
 def _check_tuple(bodies: Sequence[VPolytope]) -> int:
@@ -171,9 +163,6 @@ def mixed_volume_via_measure(bodies: Sequence[VPolytope]) -> Fraction:
     return Fraction(total, n)
 
 
-DiffArg = Union[VPolytope, SupportDiff]
-
-
 def mixed_volume_diff(args: Sequence[DiffArg]) -> Fraction:
     """Multilinear extension of the mixed volume to differences of support
     functions, expanded over the plus/minus parts."""
@@ -182,18 +171,7 @@ def mixed_volume_diff(args: Sequence[DiffArg]) -> Fraction:
     n = args[0].n
     if len(args) != n:
         raise PreconditionError(f"needs exactly {n} arguments")
-    choices = []
-    for a in args:
-        if isinstance(a, SupportDiff):
-            choices.append(((1, a.plus), (-1, a.minus)))
-        else:
-            choices.append(((1, a),))
     total = Fraction(0)
-    for combo in itertools.product(*choices):
-        sign = 1
-        tup = []
-        for s, body in combo:
-            sign *= s
-            tup.append(body)
+    for sign, tup in expand_support_diffs(args):
         total += sign * mixed_volume(tup)
     return total

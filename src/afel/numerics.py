@@ -14,7 +14,7 @@ from typing import Sequence
 import mpmath
 from mpmath import iv
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoryViolationError
 from .geometry import VPolytope
 from .linalg import cross3, dot, norm_sq, vsub
 
@@ -25,9 +25,6 @@ iv.prec = 150
 class FloatWithError:
     value: float
     abs_err: float
-
-    def agrees(self, other: float, tol: float = 0.0) -> bool:
-        return abs(self.value - other) <= self.abs_err + tol
 
 
 def iv_frac(q) -> "iv.mpf":
@@ -171,7 +168,8 @@ def steiner_point_3d_iv(p: VPolytope) -> tuple:
             coords[k] += iv_frac(v[k]) * omega
     # the normal cones tile the sphere
     full = 4 * iv.pi
-    assert omega_total.a <= full.b and full.a <= omega_total.b
+    if not (omega_total.a <= full.b and full.a <= omega_total.b):
+        raise TheoryViolationError("vertex normal cones do not tile the sphere")
     return tuple(c / (4 * iv.pi) for c in coords)
 
 

@@ -188,7 +188,8 @@ def steiner_normalize(mu: BodyMeasure) -> ApproxMeasure:
             verts.append(tuple(coords))
         atoms.append((weight, ApproxBody(tuple(verts), err)))
     total = sum(w.value for w, _ in atoms)
-    assert abs(total - 1.0) <= 1e-9
+    if not abs(total - 1.0) <= 1e-9:
+        raise TheoryViolationError(f"normalized weights sum to {total}, not 1")
     return ApproxMeasure(tuple(atoms))
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -93,10 +92,7 @@ def test_reports_byte_identical(files):
     a = run_cli(["gen", "--kind", "body", "--seed", "7", "--dim", "3"])
     b = run_cli(["gen", "--kind", "body", "--seed", "7", "--dim", "3"])
     assert a.stdout == b.stdout and a.returncode == 0
-    env = dict(os.environ, AFEL_THREADS="4")
-    c = subprocess.run([sys.executable, "-m", "afel.cli", "gen", "--kind", "body",
-                        "--seed", "7", "--dim", "3", "--count", "3"],
-                       capture_output=True, text=True, env=env)
+    c = run_cli(["gen", "--kind", "body", "--seed", "7", "--dim", "3", "--count", "3"])
     d = run_cli(["gen", "--kind", "body", "--seed", "7", "--dim", "3", "--count", "3"])
     assert c.stdout == d.stdout
 
@@ -166,14 +162,28 @@ def _polyoid_measure(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["verify"],
+    ["verify", "--body", "{body}", "--samples", "-1"],
     ["pushforward"],
     ["pushforward", "--z", "0", "0"],
-], ids=["verify-no-body", "pushforward-no-z", "pushforward-zero-z"])
+], ids=["verify-no-body", "verify-negative-samples", "pushforward-no-z",
+        "pushforward-zero-z"])
 def test_polyoid_cli_bad_arguments(tmp_path, args):
+    # the body the one-segment measure generates, so only the count is wrong
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], ["1", "0"]]}))
+    args = [str(body) if a == "{body}" else a for a in args]
     r = run_cli(["polyoid", args[0], "--measure", _polyoid_measure(tmp_path)] + args[1:])
     assert r.returncode == 1
     assert r.stderr.startswith("input error:")
     assert "Traceback" not in r.stderr
+
+
+def test_gen_count_zero_rejected():
+    r = run_cli(["gen", "--kind", "body", "--seed", "7", "--count", "0"])
+    assert r.returncode == 1
+    assert r.stderr.startswith("input error:")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_boolean_coordinate_rejected(tmp_path):

@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afel.errors import PreconditionError
 from afel.geometry import (
     Direction,
+    contains_point,
     convex_hull,
+    dist_sq_point,
     diameter_sq,
     dim_pspan,
     hausdorff_distance_sq,
@@ -246,3 +249,118 @@ def test_hull_ignores_boundary_subdivision_points():
              (1, 1, 0), (1, 1, 2), (2, 1, 1)]
     h = convex_hull(cube_pts + extra)
     assert len(h.vertices) == 8 and len(h.facets) == 6 and len(h.edges) == 12
+
+
+# ------------------------------------------------- brute-force hull oracle
+# Independent of the hull code: facets come from every affinely independent
+# d-subset whose hyperplane has all points on one side, with the normal from
+# integer cofactor determinants written here.
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _normal(pts):
+    """Integer normal of the hyperplane through d points in R^d (zero when
+    they are affinely dependent): cofactors of the difference rows."""
+    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    d = len(pts[0])
+    return tuple((-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(d))
+
+
+def _independent(vecs):
+    d = len(vecs[0])
+    return any(_det([[v[c] for c in cols] for v in vecs])
+               for cols in itertools.combinations(range(d), len(vecs)))
+
+
+def _brute_force_hull(pts):
+    """(vertex set, set of (primitive outward normal, offset)) of a
+    full-dimensional integer point set."""
+    d = len(pts[0])
+    facets = set()
+    for sub in itertools.combinations(pts, d):
+        z = _normal(sub)
+        if not any(z):
+            continue
+        g = 0
+        for c in z:
+            g = math.gcd(g, c)
+        z = tuple(c // g for c in z)
+        h = sum(a * b for a, b in zip(z, sub[0]))
+        side = [sum(a * b for a, b in zip(z, p)) - h for p in pts]
+        if all(s <= 0 for s in side):
+            facets.add((z, h))
+        elif all(s >= 0 for s in side):
+            facets.add((tuple(-c for c in z), -h))
+    verts = set()
+    for p in pts:
+        # a vertex is cut out by d facets with independent normals
+        basis = []
+        for z, h in facets:
+            if sum(a * b for a, b in zip(z, p)) == h and _independent(basis + [z]):
+                basis.append(z)
+        if len(basis) == d:
+            verts.add(p)
+    return verts, facets
+
+
+def _point_sets(d):
+    coord_d = st.integers(min_value=-3, max_value=3)
+    return st.lists(st.tuples(*[coord_d] * d), min_size=d + 1, max_size=12, unique=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_hull_matches_brute_force(d, data):
+    pts = data.draw(_point_sets(d))
+    assume(any(_det([[a - b for a, b in zip(p, sub[0])] for p in sub[1:]])
+               for sub in itertools.combinations(pts, d + 1)))
+    verts, facets = _brute_force_hull(pts)
+    p = convex_hull(pts)
+    assert p.dim == d
+    assert set(p.vertices) == verts
+    assert {(f.normal.z, f.offset) for f in p.facets} == facets
+    for f in p.facets:
+        on = {v for v in verts if sum(a * b for a, b in zip(f.normal.z, v)) == f.offset}
+        assert {p.vertices[i] for i in f.vertex_ids} == on
+    if d == 3:
+        assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
+
+
+# ------------------------------------------- bodies of dimension below n
+
+F = Fraction
+# triangle in the plane z = x + y of R^3; a square with sides (0,1,1,0) and
+# (0,1,-1,0) at (1,0,0,3) in R^4; each point is
+# (label, point, contained, squared distance)
+LOWER_DIM_CASES = [
+    ([(0, 0, 0), (2, 0, 2), (0, 2, 2)], [
+        ("inside", (F(1, 2), F(1, 2), 1), True, 0),
+        ("edge", (1, 0, 1), True, 0),
+        ("hull-outside", (2, 2, 4), False, 6),  # nearest (1, 1, 2)
+        ("off-hull", (F(3, 2), F(3, 2), 0), False, 3),  # nearest (1/2, 1/2, 1)
+        ("off-hull-outside", (3, 3, 3), False, 9),  # nearest (1, 1, 2)
+    ]),
+    ([(1, 0, 0, 3), (1, 1, 1, 3), (1, 1, -1, 3), (1, 2, 0, 3)], [
+        ("inside", (1, 1, 0, 3), True, 0),
+        ("edge", (1, F(1, 2), F(1, 2), 3), True, 0),
+        ("hull-outside", (1, F(5, 2), F(3, 2), 3), False, 2),  # nearest (1, 3/2, 1/2, 3)
+        ("off-hull", (3, 1, 0, 2), False, 5),  # nearest (1, 1, 0, 3)
+        ("off-hull-outside", (1, F(5, 2), F(3, 2), 4), False, 3),
+    ]),
+]
+
+
+@pytest.mark.parametrize("verts,cases", LOWER_DIM_CASES, ids=["triangle-R3", "square-R4"])
+def test_lower_dimensional_containment_and_distance(verts, cases):
+    p = convex_hull(verts)
+    assert p.dim == 2 and p.dim < p.n
+    for label, x, inside, dist in cases:
+        assert contains_point(p, x) is inside, label
+        assert dist_sq_point(p, x) == dist, label
