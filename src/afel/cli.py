@@ -53,7 +53,8 @@ def _load_measure(path: str):
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with jsonio.unlimited_int_digits():
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

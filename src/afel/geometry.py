@@ -103,14 +103,6 @@ class VPolytope:
     def __repr__(self):
         return f"VPolytope(n={self.n}, dim={self.dim}, vertices={len(self.vertices)})"
 
-    def is_singleton(self) -> bool:
-        return self.dim == 0
-
-    def facet_normals(self) -> list[Direction]:
-        if self.facets is None:
-            raise PreconditionError("facet cache requires a full-dimensional body")
-        return [f.normal for f in self.facets]
-
 
 def _integerize(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
     """Common-denominator integer copies of the points, plus the scale."""
@@ -142,14 +134,13 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
     pts = sorted(set(pts))
     p0 = pts[0]
     diffs = [vsub(p, p0) for p in pts[1:]]
-    dim = matrank(diffs)
+    cols = pivot_columns(diffs)
+    dim = len(cols)
     if dim == 0:
         return VPolytope(n, 0, (p0,))
     if dim == 1:
-        scored = sorted(pts)
-        return VPolytope(n, 1, (scored[0], scored[-1]))
+        return VPolytope(n, 1, (p0, pts[-1]))
     if dim < n:
-        cols = pivot_columns(diffs)
         reduced = [tuple(p[c] for c in cols) for p in pts]
         sub = convex_hull(reduced)
         vert_set = set(sub.vertices)
@@ -223,19 +214,12 @@ def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:
 
 
 def minkowski_sum_many(bodies: Sequence[VPolytope]) -> VPolytope:
-    if not bodies:
-        raise PreconditionError("empty Minkowski sum")
-    # fold smallest-first: intermediate hulls stay small
-    order = sorted(bodies, key=lambda b: len(b.vertices))
-    acc = order[0]
-    for b in order[1:]:
-        acc = minkowski_sum(acc, b)
-    return acc
+    return minkowski_sum_tagged(bodies)[0]
 
 
 def minkowski_sum_tagged(
         bodies: Sequence[VPolytope]) -> tuple[VPolytope, tuple[tuple[int, ...], ...]]:
-    """The sum minkowski_sum_many returns, plus one tag per vertex: the
+    """The Minkowski sum of the bodies, plus one tag per vertex: the
     indices (i_1, ..., i_k) of the summand vertices, in the order of
     `bodies`, whose sum that vertex is.
 
@@ -248,7 +232,7 @@ def minkowski_sum_tagged(
         raise PreconditionError("empty Minkowski sum")
     if any(b.n != bodies[0].n for b in bodies):
         raise PreconditionError("ambient dimension mismatch")
-    # fold smallest-first, exactly as minkowski_sum_many does
+    # fold smallest-first: intermediate hulls stay small
     order = sorted(range(len(bodies)), key=lambda i: len(bodies[i].vertices))
     acc = bodies[order[0]]
     tags = [(j,) for j in range(len(acc.vertices))]
@@ -441,10 +425,8 @@ def _subspace_chart(p: VPolytope):
     v0 = p.vertices[0]
     diffs = [vsub(v, v0) for v in p.vertices[1:]]
     cols = pivot_columns(diffs)
-    basis: list[Vec] = []
-    for d in diffs:
-        if matrank(basis + [d]) > len(basis):
-            basis.append(d)
+    # the pivot columns of the transpose are the first independent diffs
+    basis = [diffs[j] for j in pivot_columns(list(zip(*diffs)))]
     proj_basis = [tuple(b[c] for c in cols) for b in basis]
 
     def project(x: Vec) -> Vec:

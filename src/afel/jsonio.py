@@ -7,6 +7,8 @@ next to their error bounds.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -26,9 +28,22 @@ class JsonFormatError(AfelError):
         self.path = path
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's int-to-str digit limit while a report is written; input
+    parsing keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def frac_to_str(x) -> str:
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    with unlimited_int_digits():
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def parse_frac(s, path: str):

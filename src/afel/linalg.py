@@ -1,13 +1,15 @@
 """Exact rational linear algebra on tuples of Fractions.
 
 Vectors are plain tuples (of Fraction or int), matrices are lists of such
-tuples.  Everything here is exact; no floats enter or leave.
+tuples.  Everything here is exact; no floats enter or leave.  Elimination
+is fraction-free on integer rows (`eliminate`); `Fraction`s appear only in
+the output of `solve_linear`, one division per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import TheoryViolationError
@@ -114,32 +116,46 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def eliminate(row: list[int], piv: Sequence[int], col: int) -> list[int]:
+    """Clear column col of an integer row with a pivot row, fraction-free:
+    p*row - c*piv, divided by its content."""
+    c, p = row[col], piv[col]
+    row = [p * x - c * y for x, y in zip(row, piv)]
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return row
+
+
+def _echelon(rows: Sequence[Vec]) -> list[tuple[int, list[int]]]:
+    """Integer echelon rows of span(rows) as (pivot column, row) pairs, in
+    column order.  Each row, scaled to integers by its common denominator,
+    is cleared at the pivots found so far, in the order found (a pivot row
+    is zero at every earlier pivot); a nonzero rest leads a new pivot."""
+    pivots: list[tuple[int, list[int]]] = []
+    for r in rows:
+        den = 1
+        for x in r:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+        row = [x * den if type(x) is int else x.numerator * (den // x.denominator)
+               for x in r]
+        for col, piv in pivots:
+            if row[col]:
+                row = eliminate(row, piv, col)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            pivots.append((lead, row))
+            if len(pivots) == len(row):
+                break
+    pivots.sort(key=lambda lp: lp[0])
+    return pivots
+
+
 def pivot_columns(rows: Sequence[Vec]) -> list[int]:
     """Pivot columns of exact Gaussian elimination: a maximal set of
     coordinates on which projecting span(rows) is injective."""
-    m = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, ncols):
-                    m[i][j] -= f * m[rank][j]
-        pivots.append(col)
-        rank += 1
-        col += 1
-    return pivots
+    return [col for col, _ in _echelon(rows)]
 
 
 def matrank(rows: Sequence[Vec]) -> int:
@@ -151,41 +167,32 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Optional[tuple[Vec, list
     """Solve rows @ x = rhs exactly.
 
     Returns (particular solution, nullspace basis) or None if inconsistent.
+    Both come from the reduced row echelon form: free variables are 0, and
+    the basis vector of a free column is 1 there and 0 at the other free
+    columns.
     """
     if not rows:
         raise ValueError("no equations")
     ncols = len(rows[0])
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][ncols] != 0:
-            return None
+    ech = _echelon([tuple(r) + (v,) for r, v in zip(rows, rhs)])
+    if ech and ech[-1][0] == ncols:
+        return None
+    # clear upward, last pivot first: each pivot row is then zero at every
+    # other pivot column
+    for k in range(len(ech) - 1, 0, -1):
+        col, piv = ech[k]
+        for i in range(k):
+            lead, row = ech[i]
+            if row[col]:
+                ech[i] = (lead, eliminate(row, piv, col))
+    free = sorted(set(range(ncols)) - {col for col, _ in ech})
     x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][fc]
-        basis.append(tuple(v))
-    return tuple(x), basis
+    basis = [[Fraction(int(c == fc)) for c in range(ncols)] for fc in free]
+    for col, row in ech:
+        x[col] = Fraction(row[ncols], row[col])
+        for fc, v in zip(free, basis):
+            v[col] = Fraction(-row[fc], row[col])
+    return tuple(x), [tuple(v) for v in basis]
 
 
 def min_norm_solution(rows: Sequence[Vec], rhs: Sequence,

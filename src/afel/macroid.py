@@ -20,13 +20,14 @@ from .geometry import (
     VPolytope,
     diameter_sq,
     is_summand,
+    minkowski_sum,
     minkowski_sum_many,
     minkowski_sum_tagged,
     segment,
     singleton,
     support_set,
 )
-from .linalg import dot, matrank, primitive, vscale, vsub
+from .linalg import cross3, dot, primitive, vscale, vsub
 from .numerics import iv_sqrt_frac
 
 
@@ -76,8 +77,8 @@ def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
     """Largest lam >= 0 such that lam*[0, d] is a summand of P.
 
     Candidates are the nonnegative vertex-difference projections; monotone
-    pass/fail over them justifies a binary search, with one neighbor check
-    and an exhaustive fallback should the local pattern disagree.
+    pass/fail over them (a summand's shrinkings are summands) justifies a
+    binary search for the last passing candidate.
     """
     if p.n != 3:
         raise PreconditionError("segment summands implemented for ambient dimension 3")
@@ -113,11 +114,8 @@ def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
             lo = mid
         else:
             hi = mid - 1
-    best = lam[lo]
-    consistent = passes(best) and (lo + 1 >= len(lam) or not passes(lam[lo + 1]))
-    if not consistent:
-        best = max(t for t in lam if passes(t))
-    return best
+    # lam[lo] passed (or is 0) and lam[lo + 1], if any, was tested and failed
+    return lam[lo]
 
 
 def zonotope_kernel(p: VPolytope) -> VPolytope:
@@ -135,7 +133,7 @@ def zonotope_kernel(p: VPolytope) -> VPolytope:
             continue
         half = vscale(lam / 2, d.z)
         seg = segment(tuple(-c for c in half), half)
-        acc = seg if acc is None else minkowski_sum_many([acc, seg])
+        acc = seg if acc is None else minkowski_sum(acc, seg)
         # independent segment summands combine to a summand at every step
         if not is_summand(acc, p):
             raise TheoryViolationError(
@@ -214,7 +212,7 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
     for a, b, c in itertools.combinations(range(len(seq)), 3):
         for da, db, dc in itertools.product(dirs_per_body[a], dirs_per_body[b],
                                             dirs_per_body[c]):
-            if matrank([da.z, db.z, dc.z]) != 3:
+            if dot(cross3(da.z, db.z), dc.z) == 0:
                 triples = False
                 witness = witness or ("triple", (a, b, c, da.z, db.z, dc.z))
                 break

@@ -23,6 +23,7 @@ from .geometry import (
     support_value,
 )
 from .hull import _shoelace, divergence_volume
+from .linalg import eliminate
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -79,20 +80,6 @@ def _multiset_exponents(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _eliminate(row: list[int], coef: list[int], piv: list[int], piv_coef: list[int],
-               col: int) -> tuple[list[int], list[int]]:
-    """Clear column col of row with the pivot row (fraction-free), carrying
-    the node coefficients along; the result is divided by its content."""
-    c, p = row[col], piv[col]
-    row = [p * x - c * y for x, y in zip(row, piv)]
-    coef = [p * x - c * y for x, y in zip(coef, piv_coef)]
-    g = math.gcd(*row, *coef)
-    if g > 1:
-        row = [x // g for x in row]
-        coef = [x // g for x in coef]
-    return row, coef
-
-
 @functools.lru_cache(maxsize=None)
 def _interpolation_plan(n: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """Nodes a and weights w with sum_j w_j * vol(sum_i a_ji K_i) equal to
@@ -100,25 +87,25 @@ def _interpolation_plan(n: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
 
     Nodes are the first full-rank set of the lex-ordered grid {1..n+1}^n
     under greedy selection of the monomial rows, by fraction-free integer
-    elimination.  Each echelon row carries its integer coefficients over the
-    node rows; reducing the row that leads at the a_1*...*a_n column to
-    d * e_(1,...,1) gives the weights as those coefficients over d, with one
-    division each.
+    elimination (`linalg.eliminate`).  Each row carries its integer
+    coefficients over the node rows as trailing entries; reducing the row
+    that leads at the a_1*...*a_n column to d * e_(1,...,1) gives the
+    weights as those coefficients over d, with one division each.
     """
     exps = _multiset_exponents(n)
     m = len(exps)
     nodes: list[tuple[int, ...]] = []
-    # lead column -> (echelon row, its coefficients over the node rows)
-    pivots: dict[int, tuple[list[int], list[int]]] = {}
+    # lead column -> echelon row, its node coefficients in columns m..2m-1
+    pivots: dict[int, list[int]] = {}
     for a in itertools.product(range(1, n + 2), repeat=n):
         row = [math.prod(ai ** e for ai, e in zip(a, alpha)) for alpha in exps]
-        coef = [0] * m
-        coef[len(nodes)] = 1
+        row += [0] * m
+        row[m + len(nodes)] = 1
         for lead, piv in pivots.items():
             if row[lead]:
-                row, coef = _eliminate(row, coef, *piv, lead)
-        if any(row):
-            pivots[next(i for i, x in enumerate(row) if x)] = (row, coef)
+                row = eliminate(row, piv, lead)
+        if any(row[:m]):
+            pivots[next(i for i, x in enumerate(row) if x)] = row
             nodes.append(a)
             if len(nodes) == m:
                 break
@@ -126,11 +113,11 @@ def _interpolation_plan(n: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         raise TheoryViolationError(f"interpolation grid in R^{n} failed to reach full rank")
     # every column leads a pivot row, and a pivot row is zero before its lead
     target = exps.index((1,) * n)
-    row, coef = pivots[target]
+    row = pivots[target]
     for col in range(target + 1, m):
         if row[col]:
-            row, coef = _eliminate(row, coef, *pivots[col], col)
-    return tuple((a, Fraction(c, row[target])) for a, c in zip(nodes, coef) if c)
+            row = eliminate(row, pivots[col], col)
+    return tuple((a, Fraction(c, row[target])) for a, c in zip(nodes, row[m:]) if c)
 
 
 def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:

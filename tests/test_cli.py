@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -206,6 +207,22 @@ def test_huge_exponent_rejected(tmp_path):
     r = run_cli(["kernel", "--body", str(path)], timeout=60)
     assert r.returncode == 1
     assert "vertices[0][0]" in r.stderr and "exponent" in r.stderr
+
+
+def test_results_past_the_digit_limit_are_printed(tmp_path):
+    # 10^5000/6 has more digits than Python's default int-to-str limit (4300)
+    body = {"dim": 3, "vertices": [["0", "0", "0"], ["1e5000", "0", "0"],
+                                   ["0", "1", "0"], ["0", "0", "1"]]}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(body))
+    r = run_cli(["mixed-volume", "--bodies", str(path), str(path), str(path)])
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    with jsonio.unlimited_int_digits():
+        assert Fraction(json.loads(r.stdout)["value"]) == Fraction(10**5000, 6)
+    r = run_cli(["area-measure", "--bodies", str(path), str(path)])
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
 
 
 def test_measure_json_round_trip():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -19,7 +20,6 @@ from afel.geometry import (
     is_summand,
     minkowski_difference,
     minkowski_sum,
-    minkowski_sum_many,
     minkowski_sum_tagged,
     scale_translate,
     segment,
@@ -399,7 +399,7 @@ def test_tagged_sum_matches_brute_force(d, data):
     for pts, body in zip(point_lists, bodies):
         assert all(contains_point(body, x) for x in pts)
     total, tags = minkowski_sum_tagged(bodies)
-    assert total == minkowski_sum_many(bodies)
+    assert total == functools.reduce(minkowski_sum, bodies)
     assert len(tags) == len(total.vertices)
     for v, tag in zip(total.vertices, tags):
         # the one tuple of summand vertices adding up to v, found by brute force
