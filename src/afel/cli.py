@@ -56,8 +56,12 @@ def _emit(obj, args) -> None:
     with jsonio.unlimited_int_digits():
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            # a missing directory, a directory, no permission, a full disk
+            raise JsonFormatError(args.out, f"cannot write report: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -352,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        _emit(args.fn(args), args)
     except JsonFormatError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_BAD_INPUT
@@ -362,7 +366,6 @@ def main(argv=None) -> int:
     except TheoryViolationError as e:
         sys.stderr.write(f"theory violation (library bug): {e}\n")
         return EXIT_THEORY
-    _emit(report, args)
     return EXIT_OK
 
 

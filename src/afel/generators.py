@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .geometry import VPolytope, convex_hull, minkowski_sum_many, segment
+from .linalg import primitive
 from .macroid import admissibility_check
 
 _BASES = [
@@ -61,8 +62,6 @@ def gen_zonotope(n: int, segments: int, seed: int, span: int = 3) -> VPolytope:
         d = tuple(rng.randrange(-span, span + 1) for _ in range(n))
         if not any(d):
             continue
-        from .linalg import primitive
-
         key = primitive(d)
         key = tuple(-c for c in key) if next(c for c in key if c) < 0 else key
         if key in dirs:

@@ -28,7 +28,7 @@ from .geometry import (
     support_set,
 )
 from .linalg import cross3, dot, primitive, vscale, vsub
-from .numerics import iv_sqrt_frac
+from .numerics import interval_precision, iv_sqrt_frac
 
 
 def _edge_directions(p: VPolytope) -> list[Direction]:
@@ -62,8 +62,6 @@ def _facet_bound(p: VPolytope, f, d: tuple[int, ...]) -> Fraction:
     normal is orthogonal to d: both extreme support sets of the facet in the
     in-plane direction perpendicular to d must contain a d-segment of the
     candidate length."""
-    from .linalg import cross3
-
     u = cross3(f.normal.z, d)
     vals = [(dot(p.vertices[i], u), i) for i in f.vertex_ids]
     top = max(v for v, _ in vals)
@@ -218,11 +216,13 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
                 break
         if not triples:
             break
-    total = iv.mpf(0)
-    for p in seq:
-        total += iv_sqrt_frac(diameter_sq(p))
+    with interval_precision():
+        total = iv.mpf(0)
+        for p in seq:
+            total += iv_sqrt_frac(diameter_sq(p))
+        diam_sum = (float(total.a), float(total.b))
     return AdmissibilityReport(triangles, full, distinct, cross, triples,
-                               (float(total.a), float(total.b)), witness)
+                               diam_sum, witness)
 
 
 @dataclass(frozen=True)

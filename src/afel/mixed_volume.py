@@ -1,19 +1,19 @@
 """Exact mixed volumes via three mutually independent routes.
 
-The inclusion-exclusion expansion is the reference implementation; polynomial
-interpolation and the area-measure integral exist as independent oracles and
-must agree with it to the last bit.
+The inclusion-exclusion expansion is the reference implementation; the n-th
+mixed difference of the volume polynomial (the interpolation route) and the
+area-measure integral exist as independent oracles and must agree with it to
+the last bit.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError, TheoryViolationError
+from .errors import PreconditionError
 from .geometry import (
     DiffArg,
     VPolytope,
@@ -23,7 +23,6 @@ from .geometry import (
     support_value,
 )
 from .hull import _shoelace, divergence_volume
-from .linalg import eliminate
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -70,59 +69,26 @@ def mixed_volume(bodies: Sequence[VPolytope]) -> Fraction:
     return Fraction(total, math.factorial(n))
 
 
-def _multiset_exponents(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), n):
-        alpha = [0] * n
-        for i in combo:
-            alpha[i] += 1
-        out.append(tuple(alpha))
-    return out
+def _difference_nodes(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Nodes a in {1, 2}^n with signs (-1)^#{i : a_i = 1}: the n-fold mixed
+    difference with step 1 at (1, ..., 1).
 
-
-@functools.lru_cache(maxsize=None)
-def _interpolation_plan(n: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Nodes a and weights w with sum_j w_j * vol(sum_i a_ji K_i) equal to
-    n! * V(K_1, ..., K_n) for every body tuple; zero-weight nodes dropped.
-
-    Nodes are the first full-rank set of the lex-ordered grid {1..n+1}^n
-    under greedy selection of the monomial rows, by fraction-free integer
-    elimination (`linalg.eliminate`).  Each row carries its integer
-    coefficients over the node rows as trailing entries; reducing the row
-    that leads at the a_1*...*a_n column to d * e_(1,...,1) gives the
-    weights as those coefficients over d, with one division each.
+    vol(sum_i x_i K_i) is a form of degree n in x whose x_1*...*x_n
+    coefficient is n! * V(K_1, ..., K_n).  The difference sends that
+    monomial to 1 and every other degree-n monomial, which misses some
+    variable, to 0; so sum_a sign * vol(sum_i a_i K_i) = n! * V.
     """
-    exps = _multiset_exponents(n)
-    m = len(exps)
-    nodes: list[tuple[int, ...]] = []
-    # lead column -> echelon row, its node coefficients in columns m..2m-1
-    pivots: dict[int, list[int]] = {}
-    for a in itertools.product(range(1, n + 2), repeat=n):
-        row = [math.prod(ai ** e for ai, e in zip(a, alpha)) for alpha in exps]
-        row += [0] * m
-        row[m + len(nodes)] = 1
-        for lead, piv in pivots.items():
-            if row[lead]:
-                row = eliminate(row, piv, lead)
-        if any(row[:m]):
-            pivots[next(i for i, x in enumerate(row) if x)] = row
-            nodes.append(a)
-            if len(nodes) == m:
-                break
-    if len(nodes) != m:
-        raise TheoryViolationError(f"interpolation grid in R^{n} failed to reach full rank")
-    # every column leads a pivot row, and a pivot row is zero before its lead
-    target = exps.index((1,) * n)
-    row = pivots[target]
-    for col in range(target + 1, m):
-        if row[col]:
-            row = eliminate(row, pivots[col], col)
-    return tuple((a, Fraction(c, row[target])) for a, c in zip(nodes, row[m:]) if c)
+    return [(a, (-1) ** a.count(1)) for a in itertools.product((1, 2), repeat=n)]
 
 
 def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
     """Coefficient extraction from the volume polynomial of Minkowski
-    combinations: a fixed weighted sum of volumes at integer nodes."""
+    combinations: the n-th mixed difference of vol(sum_i a_i K_i) over the
+    2^n nodes a in {1, 2}^n.
+
+    The route forms its own scaled sums and never reads another route's; the
+    one body it shares with inclusion-exclusion is the full sum at
+    a = (1, ..., 1)."""
     n = _check_tuple(bodies)
     # fold smallest body first, as minkowski_sum_many does; the first n-1
     # scaled bodies of a node are a prefix that later nodes often share
@@ -130,7 +96,7 @@ def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
     origin = (0,) * n
     prefixes: dict[tuple[tuple[int, int], ...], VPolytope] = {}
     total = Fraction(0)
-    for a, w in _interpolation_plan(n):
+    for a, sign in _difference_nodes(n):
         key: tuple[tuple[int, int], ...] = ()
         acc = None
         for k, i in enumerate(order):
@@ -142,7 +108,7 @@ def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
                 if k < n - 1:
                     prefixes[key] = nxt
             acc = nxt
-        total += w * volume(acc)
+        total += sign * volume(acc)
     return Fraction(total, math.factorial(n))
 
 

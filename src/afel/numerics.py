@@ -2,11 +2,14 @@
 
 Everything here is computed with mpmath interval arithmetic at 150 bits and
 reported as a float together with a conservative absolute error bound.  The
-exact kernel never consumes these values.
+precision is set only while an entry point that reports intervals runs
+(`interval_precision`); the process-wide `mpmath.iv.prec` is left as found.
+The exact kernel never consumes these values.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,7 +21,17 @@ from .errors import PreconditionError, TheoryViolationError
 from .geometry import VPolytope
 from .linalg import cross3, dot, norm_sq, vsub
 
-iv.prec = 150
+
+@contextlib.contextmanager
+def interval_precision():
+    """Run mpmath interval arithmetic at 150 bits, restoring the caller's
+    `iv.prec` afterwards; usable as a decorator."""
+    saved = iv.prec
+    iv.prec = 150
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,7 @@ def to_float_err(x) -> FloatWithError:
     return FloatWithError(mid, err)
 
 
+@interval_precision()
 def unit_ball_volume(n: int) -> FloatWithError:
     """kappa_n for n = 2, 3, 4."""
     if n == 2:
@@ -56,6 +70,7 @@ def unit_ball_volume(n: int) -> FloatWithError:
     raise PreconditionError(f"no constant for dimension {n}")
 
 
+@interval_precision()
 def sphere_surface_area(n: int) -> FloatWithError:
     """omega_n = n * kappa_n."""
     if n == 2:
@@ -99,6 +114,7 @@ def mean_width_3d_iv(p: VPolytope) -> "iv.mpf":
     return total / (4 * iv.pi)
 
 
+@interval_precision()
 def mean_width_3d(p: VPolytope) -> FloatWithError:
     """Mean width of a polytope in R^3.
 
@@ -173,6 +189,7 @@ def steiner_point_3d_iv(p: VPolytope) -> tuple:
     return tuple(c / (4 * iv.pi) for c in coords)
 
 
+@interval_precision()
 def steiner_point_3d(p: VPolytope) -> tuple[FloatWithError, ...]:
     """Steiner point of a polytope in R^3: vertices weighted by the
     normalized solid angles of their normal cones."""

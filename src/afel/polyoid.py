@@ -29,6 +29,7 @@ from .geometry import (
 from .linalg import num
 from .numerics import (
     FloatWithError,
+    interval_precision,
     iv_frac,
     iv_sqrt_frac,
     mean_width_3d_iv,
@@ -118,6 +119,7 @@ class DiamSumReport:
     holds: bool
 
 
+@interval_precision()
 def diam_sum_check(bodies: Sequence[VPolytope]) -> DiamSumReport:
     """Certified check of: sum of diameters <= sqrt(pi) * n * diam(sum)."""
     if not bodies:
@@ -159,6 +161,7 @@ class ApproxMeasure:
     atoms: tuple[tuple[FloatWithError, ApproxBody], ...]
 
 
+@interval_precision()
 def steiner_normalize(mu: BodyMeasure) -> ApproxMeasure:
     """Recenter every atom at its Steiner point and rescale to unit mean
     width, reweighting by relative mean width (floats with error bounds)."""

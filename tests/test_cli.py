@@ -225,6 +225,17 @@ def test_results_past_the_digit_limit_are_printed(tmp_path):
     assert r.stderr == ""
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+def test_unwritable_out_is_input_error(files, where):
+    out = files["dir"] + "/no/such/dir/x.json" if where == "missing-dir" else files["dir"]
+    r = run_cli(["mixed-volume", "--bodies", files["e1"], files["e2"], files["e3"],
+                 "--out", out])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("input error: " + out + ": cannot write report")
+    assert r.stdout == ""
+
+
 def test_measure_json_round_trip():
     from fractions import Fraction
 

@@ -123,17 +123,18 @@ def test_diff_examples(unit_cube):
     assert mixed_volume_diff([f, f, unit_cube]) == 1
 
 
-@pytest.mark.parametrize("n, count", [(2, 3), (3, 8), (4, 20)])
-def test_interpolation_plan_extracts_mixed_coefficient(n, count):
-    # checked with plain int/Fraction sums: sum_j w_j * prod_i a_ji^alpha_i
-    # is 1 for alpha = (1, ..., 1) and 0 for every other degree-n exponent
-    plan = mv_module._interpolation_plan(n)
-    assert len(plan) == count
-    for a, w in plan:
-        assert len(a) == n and all(isinstance(x, int) and 1 <= x <= n + 1 for x in a)
-        assert isinstance(w, Fraction) and w != 0
+@pytest.mark.parametrize("n, count", [(2, 4), (3, 8), (4, 16)])
+def test_difference_nodes_extract_mixed_coefficient(n, count):
+    # checked with plain int sums: sum_a sign * prod_i a_i^alpha_i is 1 for
+    # alpha = (1, ..., 1) and 0 for every other degree-n exponent
+    nodes = mv_module._difference_nodes(n)
+    assert len(nodes) == count
+    assert len({a for a, _ in nodes}) == count
+    for a, sign in nodes:
+        assert len(a) == n and all(isinstance(x, int) and x in (1, 2) for x in a)
+        assert sign in (1, -1)
     for alpha in itertools.product(range(n + 1), repeat=n):
         if sum(alpha) != n:
             continue
-        s = sum(w * math.prod(x ** e for x, e in zip(a, alpha)) for a, w in plan)
+        s = sum(sign * math.prod(x ** e for x, e in zip(a, alpha)) for a, sign in nodes)
         assert s == (1 if alpha == (1,) * n else 0), alpha

@@ -1,17 +1,23 @@
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import iv
 
 from afel.errors import PreconditionError
 from afel.geometry import convex_hull, segment, singleton
+from afel.macroid import admissibility_check, load_admissible_fixture
 from afel.numerics import (
     mean_width_3d,
     sphere_surface_area,
     steiner_point_3d,
     unit_ball_volume,
 )
+from afel.polyoid import BodyMeasure, diam_sum_check, steiner_normalize
 
 from conftest import random_body
 
@@ -64,3 +70,35 @@ def test_constants():
         assert abs(o.value - n * k.value) <= n * k.abs_err + o.abs_err + 1e-12
     assert abs(unit_ball_volume(3).value - 4 * math.pi / 3) < 1e-12
     assert abs(sphere_surface_area(2).value - float(2 * mpmath.pi)) < 1e-12
+
+
+def test_interval_precision_is_scoped(unit_cube, tetra):
+    # importing afel leaves mpmath's process-wide interval precision alone
+    r = subprocess.run([sys.executable, "-c",
+                        "from mpmath import iv; p = iv.prec; import afel; print(p, iv.prec)"],
+                       capture_output=True, text=True, check=True)
+    before, after = r.stdout.split()
+    assert before == after
+    # every entry point that reports intervals computes at its own precision,
+    # whatever the caller's, and leaves the caller's as it was
+    mu = BodyMeasure.of([(Fraction(1, 3), unit_cube), (Fraction(2, 3), tetra)])
+    seq = load_admissible_fixture()
+    calls = [
+        lambda: [unit_ball_volume(n) for n in (2, 3, 4)],
+        lambda: [sphere_surface_area(n) for n in (2, 3, 4)],
+        lambda: mean_width_3d(tetra),
+        lambda: steiner_point_3d(tetra),
+        lambda: admissibility_check(seq).diam_sum_enclosure,
+        lambda: diam_sum_check([unit_cube, tetra]),
+        lambda: steiner_normalize(mu),
+    ]
+    saved = iv.prec
+    outs = []
+    try:
+        for prec in (20, 53, 300):
+            iv.prec = prec
+            outs.append([f() for f in calls])
+            assert iv.prec == prec
+    finally:
+        iv.prec = saved
+    assert outs[0] == outs[1] == outs[2]
