@@ -211,8 +211,8 @@ class LinearityReport:
 def linearity_equivalence(f: SupportDiff, c: VPolytope) -> LinearityReport:
     """Evaluate both sides of the vanishing criterion independently:
     S_{f,(C)} = 0 versus linearity of f on the arc support."""
+    x = linearity_on_arcs(f, c)  # its preconditions first: the measure costs more
     measure_zero = mixed_area_diff([f, c]).is_zero()
-    x = linearity_on_arcs(f, c)
     linear = x is not None
     return LinearityReport(measure_zero, linear, x, measure_zero == linear)
 

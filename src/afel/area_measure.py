@@ -4,9 +4,11 @@ For polytopes the mixed area measure is atomic.  Atoms are stored with
 rationalized weights: the measure of the unit direction z/|z| is w(z)*|z|,
 so that integrals of support functions against the measure stay rational.
 
-The weight at a facet normal z of K_1 + ... + K_{n-1} is the mixed volume
-of the summand faces F(K_i, z).  They are read off the vertex tags of the
-sum (`minkowski_sum_tagged`): F(K_1 + ... + K_{n-1}, z) is the sum of the
+The weight at a facet normal z of K_1 + ... + K_{n-1} is the (n-1)-dim mixed
+volume of the summand faces F(K_i, z): the same measure integral one
+dimension lower, down to the 2D width, so no mixed-volume route or `volume`
+is called.  The summand faces are read off the vertex tags of the sum
+(`minkowski_sum_tagged`): F(K_1 + ... + K_{n-1}, z) is the sum of the
 F(K_i, z), so body i's face is the hull of the i-th tags of the facet's
 vertices, and no body is scanned again.  When some F(K_i, z) is a single
 vertex the weight is exactly 0, because a mixed volume with a point argument
@@ -84,7 +86,9 @@ class AtomicMeasure:
 def _face_weight(faces: Sequence[Sequence[Vec]], z: Direction) -> Fraction:
     """Rationalized weight w(z) = v(F_1,...,F_{n-1}) / |z| of the summand
     faces F_i = F(K_i, z), given by their vertices, computed in the
-    coordinate projection that drops the largest normal component."""
+    coordinate projection that drops the largest normal component, as the
+    (n-1)-dim measure integral (1/(n-1)) * int h_{F_{n-1}} dS(F_1,...,F_{n-2},.);
+    the base case n = 2 is the width of the one face."""
     if any(len(f) == 1 for f in faces):
         return Fraction(0)  # a point argument: the mixed volume is 0
     n = z.n
@@ -92,10 +96,9 @@ def _face_weight(faces: Sequence[Sequence[Vec]], z: Direction) -> Fraction:
     if n == 2:
         coords = [v[1 - j] for v in faces[0]]
         return Fraction(max(coords) - min(coords), abs(z.z[j]))
-    from .mixed_volume import mixed_volume
-
     proj = [convex_hull([v[:j] + v[j + 1:] for v in f]) for f in faces]
-    return Fraction(mixed_volume(proj), abs(z.z[j]))
+    h = mixed_area_measure(proj[:-1]).integrate_support(proj[-1])
+    return Fraction(h, (n - 1) * abs(z.z[j]))
 
 
 def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:

@@ -41,7 +41,7 @@ class HullResult:
     dim: int
     vertex_ids: tuple[int, ...]
     facets: tuple[RawFacet, ...]
-    ridges: tuple[Ridge, ...]
+    ridges: tuple[Ridge, ...]  # () for d=2; only the 3D ridges are read (VPolytope.edges)
     cycle: Optional[tuple[int, ...]] = None  # d=2 only: CCW vertex cycle
 
 
@@ -81,10 +81,7 @@ def _hull_2d(points) -> HullResult:
         drop = 0 if abs(n[0]) >= abs(n[1]) else 1
         plen = Fraction(abs(e[1] if drop == 0 else e[0]))
         facets.append(RawFacet(n, dot(points[i], n), (i, j), drop, plen))
-    ridges = []
-    for k in range(len(cycle)):
-        ridges.append(Ridge((cycle[(k + 1) % len(cycle)],), (k, (k + 1) % len(cycle))))
-    return HullResult(2, tuple(sorted(cycle)), tuple(facets), tuple(ridges), cycle)
+    return HullResult(2, tuple(sorted(cycle)), tuple(facets), (), cycle)
 
 
 def _perp_vector(z, basis, d) -> tuple[int, ...]:

@@ -8,12 +8,15 @@ limit body is ever asserted by code.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from typing import Optional, Sequence
 
 from mpmath import iv
 
+from . import jsonio
 from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
     Direction,
@@ -304,11 +307,6 @@ class GrowthReport:
 
 def load_admissible_fixture() -> list[VPolytope]:
     """The shipped 4-term admissible sequence (vertex counts 4, 5, 6, 7)."""
-    import json
-    from importlib import resources
-
-    from . import jsonio
-
     out = []
     for i in range(1, 5):
         ref = resources.files("afel.fixtures").joinpath(f"admissible_seq_{i}.json")

@@ -4,6 +4,9 @@ The inclusion-exclusion expansion is the reference implementation; the n-th
 mixed difference of the volume polynomial (the interpolation route) and the
 area-measure integral exist as independent oracles and must agree with it to
 the last bit.
+
+Inclusion-exclusion and interpolation share `volume`; the measure route shares
+neither, as its facet weights are measure integrals one dimension lower.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .area_measure import mixed_area_measure
 from .errors import PreconditionError
 from .geometry import (
     DiffArg,
@@ -20,7 +24,6 @@ from .geometry import (
     expand_support_diffs,
     minkowski_sum,
     scale_translate,
-    support_value,
 )
 from .hull import _shoelace, divergence_volume
 
@@ -115,15 +118,8 @@ def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
 def mixed_volume_via_measure(bodies: Sequence[VPolytope]) -> Fraction:
     """Integral of the last support function against the mixed area measure
     of the first n-1 bodies."""
-    from .area_measure import mixed_area_measure
-
     n = _check_tuple(bodies)
-    measure = mixed_area_measure(bodies[:-1])
-    last = bodies[-1]
-    total = Fraction(0)
-    for z, w in measure.atoms.items():
-        total += support_value(last, z) * w
-    return Fraction(total, n)
+    return Fraction(mixed_area_measure(bodies[:-1]).integrate_support(bodies[-1]), n)
 
 
 def mixed_volume_diff(args: Sequence[DiffArg]) -> Fraction:

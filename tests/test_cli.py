@@ -87,6 +87,13 @@ def test_exit_codes(files, tmp_path):
     r = run_cli(["area-measure", "--bodies", str(schema)])
     assert r.returncode == 1
     assert ".dim" in r.stderr
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(jsonio.polytope_to_json(
+        convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]))))
+    r = run_cli(["linearity", "--plus", str(square), "--minus", str(square),
+                 "--c", str(square)])
+    assert r.returncode == 2
+    assert "arc linearity requires ambient dimension 3" in r.stderr
 
 
 def test_reports_byte_identical(files):

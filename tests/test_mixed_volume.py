@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from afel.area_measure import mixed_area_measure
 from afel.errors import PreconditionError
+from afel.generators import gen_quad_tuple_4d
 from afel.geometry import (
+    Direction,
     SupportDiff,
     convex_hull,
     minkowski_sum,
@@ -138,3 +141,47 @@ def test_difference_nodes_extract_mixed_coefficient(n, count):
             continue
         s = sum(sign * math.prod(x ** e for x, e in zip(a, alpha)) for a, sign in nodes)
         assert s == (1 if alpha == (1,) * n else 0), alpha
+
+
+
+def block_volume_routes(monkeypatch):
+    """Make inclusion-exclusion, interpolation and `volume` raise wherever
+    an afel module binds them, so that any call from the measure route fails."""
+    def blocker(name):
+        def raiser(*args, **kwargs):
+            raise RuntimeError(f"the measure route called {name}")
+        return raiser
+
+    blocked = {id(f): blocker(f.__name__)
+               for f in (mixed_volume, mixed_volume_interpolated, volume)}
+    for name, module in list(sys.modules.items()):
+        if name == "afel" or name.startswith("afel."):
+            for attr, val in list(vars(module).items()):
+                if id(val) in blocked:
+                    monkeypatch.setattr(module, attr, blocked[id(val)])
+
+
+def test_measure_route_never_calls_the_volume_routes(monkeypatch):
+    # the 3D tuples of acceptance criterion 1, and three 4D tuples
+    rng = random.Random(101)
+    tuples = [[random_body(rng, 3, max_points=5) for _ in range(3)] for _ in range(50)]
+    tuples += [gen_quad_tuple_4d(seed) for seed in range(3)]
+    values = [mixed_volume(t) for t in tuples]
+    block_volume_routes(monkeypatch)
+    with pytest.raises(RuntimeError):
+        mv_module.mixed_volume(tuples[0])
+    for bodies, v in zip(tuples, values):
+        assert mixed_volume_via_measure(bodies) == v
+
+
+def test_flat_4d_measure_is_3d_mixed_volume_at_both_normals(monkeypatch):
+    # bodies in x4 = 0: all the area sits at +-e4, with the 3D mixed volume
+    # of the bodies with x4 dropped
+    rng = random.Random(7)
+    lows = [[random_body(rng, 3, full_dim=True) for _ in range(3)] for _ in range(3)]
+    values = [mixed_volume(low) for low in lows]
+    block_volume_routes(monkeypatch)
+    for low, v in zip(lows, values):
+        flat = [convex_hull([p + (0,) for p in b.vertices]) for b in low]
+        m = mixed_area_measure(flat)
+        assert m.atoms == {Direction((0, 0, 0, 1)): v, Direction((0, 0, 0, -1)): v}
