@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 malformed input (with location diagnostics; also
-command-line usage errors and `gen` parameters that admit no instance),
-2 precondition violation, 3 theory violation (a library bug, never an
-expected outcome).  Reports are deterministic: identical inputs, seed and
-version give byte-identical output.
+command-line usage errors, out-of-range arguments and `gen` parameters that
+admit no instance), 2 precondition violation, 3 theory violation (a library
+bug, never an expected outcome), 4 internal error (any other exception, also
+a library bug; one line on stderr, no traceback).  Reports are
+deterministic: identical inputs, seed and version give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_THEORY = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str):
@@ -170,6 +173,8 @@ def cmd_polyoid(args) -> dict:
     if args.action == "pushforward":
         if args.z is None:
             raise JsonFormatError("--z", "required for polyoid pushforward")
+        if len(args.z) != mu.n:
+            raise JsonFormatError("--z", f"needs {mu.n} coordinates, got {len(args.z)}")
         if not any(args.z):
             raise JsonFormatError("--z", "zero vector has no direction")
         z = Direction.of(args.z)
@@ -197,6 +202,8 @@ def cmd_admissible(args) -> dict:
 
 
 def cmd_census(args) -> dict:
+    if not 1 <= args.upto <= len(args.seq):
+        raise JsonFormatError("--upto", f"must be between 1 and {len(args.seq)}")
     cen = macroid.partial_sum_census([_load_body(p) for p in args.seq], args.upto)
     out = {
         "triangles": cen.triangles,
@@ -366,6 +373,9 @@ def main(argv=None) -> int:
     except TheoryViolationError as e:
         sys.stderr.write(f"theory violation (library bug): {e}\n")
         return EXIT_THEORY
+    except Exception as e:
+        sys.stderr.write(f"internal error (library bug): {type(e).__name__}: {e}\n")
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

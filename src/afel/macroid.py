@@ -21,6 +21,7 @@ from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
     Direction,
     VPolytope,
+    convex_hull,
     diameter_sq,
     is_summand,
     minkowski_sum,
@@ -61,10 +62,10 @@ def _extent_along(p: VPolytope, vids: Sequence[int], d: tuple[int, ...]) -> Frac
 
 
 def _facet_bound(p: VPolytope, f, d: tuple[int, ...]) -> Fraction:
-    """Upper bound for the segment summand coefficient from one facet whose
-    normal is orthogonal to d: both extreme support sets of the facet in the
-    in-plane direction perpendicular to d must contain a d-segment of the
-    candidate length."""
+    """The shorter of the two chords of P parallel to d at the ends of a
+    facet whose normal is orthogonal to d: the facet's extreme sets in the
+    in-plane direction perpendicular to d, measured in units of d.  Exact,
+    not an upper bound: these are faces of P over shadow vertices."""
     u = cross3(f.normal.z, d)
     vals = [(dot(p.vertices[i], u), i) for i in f.vertex_ids]
     top = max(v for v, _ in vals)
@@ -77,46 +78,29 @@ def _facet_bound(p: VPolytope, f, d: tuple[int, ...]) -> Fraction:
 def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
     """Largest lam >= 0 such that lam*[0, d] is a summand of P.
 
-    Candidates are the nonnegative vertex-difference projections; monotone
-    pass/fail over them (a summand's shrinkings are summands) justifies a
-    binary search for the last passing candidate.
+    A segment S parallel to d is a summand of P iff no chord of P parallel
+    to d is shorter than S, for then P = (P ∩ (P - S)) + S (Schneider,
+    Convex Bodies, 2nd ed. 2014, §3.1-3.2).  Chord length is concave on the
+    shadow of P along d, so the shortest chord lies over a shadow vertex,
+    where it is the face of P there: a vertex, or an edge parallel to d.
+
+    - Full-dimensional P: the faces over shadow vertices are the extreme
+      sets across d of the facets parallel to d (`_facet_bound`).  With no
+      such facet P has no edge parallel to d, and lam = 0.
+    - Flat P (no facets): group the vertices by their projection along d,
+      hull the projections and take the shortest group over a hull vertex.
     """
     if p.n != 3:
         raise PreconditionError("segment summands implemented for ambient dimension 3")
     dz = d.z
-    dd = dot(dz, dz)
-    bound = None
     if p.dim == 3:
-        perp_bounds = [_facet_bound(p, f, dz) for f in p.facets
-                       if dot(f.normal.z, dz) == 0]
-        # a positive segment summand forces an edge (hence a perpendicular
-        # facet pair) in direction d
-        if not perp_bounds:
-            return Fraction(0)
-        bound = min(perp_bounds)
-        if bound == 0:
-            return Fraction(0)
-    candidates = {Fraction(0)}
-    for v, w in itertools.combinations(p.vertices, 2):
-        t = abs(Fraction(dot(vsub(v, w), dz), dd))
-        if bound is None or t <= bound:
-            candidates.add(t)
-    lam = sorted(candidates)
-
-    def passes(t: Fraction) -> bool:
-        if t == 0:
-            return True
-        return is_summand(segment((0, 0, 0), vscale(t, dz)), p)
-
-    lo, hi = 0, len(lam) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if passes(lam[mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    # lam[lo] passed (or is 0) and lam[lo + 1], if any, was tested and failed
-    return lam[lo]
+        return min((_facet_bound(p, f, dz) for f in p.facets
+                    if dot(f.normal.z, dz) == 0), default=Fraction(0))
+    groups: dict[tuple, list[int]] = {}
+    for i, v in enumerate(p.vertices):
+        groups.setdefault(cross3(v, dz), []).append(i)
+    shadow = convex_hull(list(groups))
+    return min(_extent_along(p, groups[k], dz) for k in shadow.vertices)
 
 
 def zonotope_kernel(p: VPolytope) -> VPolytope:

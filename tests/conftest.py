@@ -1,9 +1,16 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import afel
 from afel.geometry import convex_hull, segment
+
+# subprocesses run the afel this suite imported, never another installed copy
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (os.path.dirname(os.path.dirname(afel.__file__)),
+                os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture

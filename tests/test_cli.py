@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from afel import jsonio
+from afel import cli, jsonio, macroid
 from afel.geometry import convex_hull, segment
 
-from conftest import truncated_cube
+from conftest import SUBPROCESS_ENV, truncated_cube
 
 
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "afel.cli"] + args,
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV, **kw)
 
 
 @pytest.fixture
@@ -94,6 +94,22 @@ def test_exit_codes(files, tmp_path):
                  "--c", str(square)])
     assert r.returncode == 2
     assert "arc linearity requires ambient dimension 3" in r.stderr
+    for upto in ("0", "3"):
+        r = run_cli(["census", "--seq", files["cube"], files["trunc"], "--upto", upto])
+        assert r.returncode == 1
+        assert r.stderr.startswith("input error: --upto:")
+        assert "Traceback" not in r.stderr
+
+
+def test_internal_error_exit_code(files, monkeypatch, capsys):
+    def broken(p):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(macroid, "zonotope_kernel", broken)
+    assert cli.main(["kernel", "--body", files["cube"]]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error (library bug): ZeroDivisionError: division by zero\n"
 
 
 def test_reports_byte_identical(files):
@@ -173,8 +189,9 @@ def _polyoid_measure(tmp_path):
     ["verify", "--body", "{body}", "--samples", "-1"],
     ["pushforward"],
     ["pushforward", "--z", "0", "0"],
+    ["pushforward", "--z", "1", "0", "0"],
 ], ids=["verify-no-body", "verify-negative-samples", "pushforward-no-z",
-        "pushforward-zero-z"])
+        "pushforward-zero-z", "pushforward-wrong-length-z"])
 def test_polyoid_cli_bad_arguments(tmp_path, args):
     # the body the one-segment measure generates, so only the count is wrong
     body = tmp_path / "body.json"

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from afel.generators import gen_admissible_sequence, gen_zonotope
+from afel.generators import gen_admissible_sequence, gen_mixed_body, gen_zonotope
 from afel.geometry import (
     Direction,
     convex_hull,
@@ -13,7 +13,9 @@ from afel.geometry import (
     singleton,
     translate,
 )
+from afel.linalg import vscale
 from afel.macroid import (
+    _edge_directions,
     admissibility_check,
     ktope_vertex_growth,
     load_admissible_fixture,
@@ -51,6 +53,36 @@ def test_segment_summand_monotone_pattern_exhaustive(unit_cube):
     assert pattern == sorted(pattern, reverse=True)
     best = max(t for t, ok in zip(candidates, pattern) if ok)
     assert best == segment_summand_max(p, d) == 2
+
+
+def test_segment_summand_max_against_is_summand():
+    # oracle: lam*d is a summand and the next vertex-difference length
+    # above lam is not; bodies include flat ones and rational vertices
+    rng = random.Random(2024)
+    bodies = [minkowski_sum_many(load_admissible_fixture()[:2]),
+              singleton((1, -2, 3))]
+    for s in range(4):
+        bodies.append(minkowski_sum(gen_zonotope(3, 3, s), random_body(rng, 3)))
+        bodies.append(gen_zonotope(3, 2, s))
+    bodies += [gen_mixed_body(s) for s in range(6)]
+    assert {p.dim for p in bodies} == {0, 1, 2, 3}
+    for p in bodies:
+        edges = _edge_directions(p)
+        dirs = list(edges)
+        while len(dirs) < len(edges) + 2:
+            z = tuple(rng.randrange(-3, 4) for _ in range(3))
+            if any(z) and Direction.of(z) not in dirs:
+                dirs.append(Direction.of(z))
+        for d in dirs:
+            lam = segment_summand_max(p, d)
+            assert is_summand(segment((0, 0, 0), vscale(lam, d.z)), p)
+            dd = sum(c * c for c in d.z)
+            above = [t for v in p.vertices for w in p.vertices
+                     if (t := abs(Fraction(sum((a - b) * c for a, b, c in
+                                               zip(v, w, d.z)), dd))) > lam]
+            if above:
+                assert not is_summand(
+                    segment((0, 0, 0), vscale(min(above), d.z)), p)
 
 
 def test_zonotope_kernel_examples(unit_cube, tetra):

@@ -19,7 +19,7 @@ from afel.numerics import (
 )
 from afel.polyoid import BodyMeasure, diam_sum_check, steiner_normalize
 
-from conftest import random_body
+from conftest import SUBPROCESS_ENV, random_body
 
 
 def test_mean_width_examples(unit_cube):
@@ -76,7 +76,8 @@ def test_interval_precision_is_scoped(unit_cube, tetra):
     # importing afel leaves mpmath's process-wide interval precision alone
     r = subprocess.run([sys.executable, "-c",
                         "from mpmath import iv; p = iv.prec; import afel; print(p, iv.prec)"],
-                       capture_output=True, text=True, check=True)
+                       capture_output=True, text=True, check=True,
+                       env=SUBPROCESS_ENV)
     before, after = r.stdout.split()
     assert before == after
     # every entry point that reports intervals computes at its own precision,
