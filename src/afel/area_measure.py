@@ -36,7 +36,7 @@ from .geometry import (
     minkowski_sum_tagged,
     support_value,
 )
-from .linalg import primitive, solve_linear, vsub
+from .linalg import cross3, cross4, dot, pivot_columns, primitive, vsub
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,8 @@ class AtomicMeasure:
     atoms: dict[Direction, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        for z, w in list(self.atoms.items()):
-            if w == 0:
-                del self.atoms[z]
+        # a filtered copy: later writes to the caller's dict cannot reach it
+        object.__setattr__(self, "atoms", {z: w for z, w in self.atoms.items() if w != 0})
 
     def __eq__(self, other):
         return isinstance(other, AtomicMeasure) and self.atoms == other.atoms
@@ -62,16 +61,12 @@ class AtomicMeasure:
 
     def scaled(self, c) -> "AtomicMeasure":
         c = Fraction(c)
-        return AtomicMeasure({z: c * w for z, w in self.atoms.items() if c * w != 0})
+        return AtomicMeasure({z: c * w for z, w in self.atoms.items()})
 
     def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
         out = dict(self.atoms)
         for z, w in other.atoms.items():
-            nw = out.get(z, Fraction(0)) + w
-            if nw == 0:
-                out.pop(z, None)
-            else:
-                out[z] = nw
+            out[z] = out.get(z, Fraction(0)) + w
         return AtomicMeasure(out)
 
     def integrate_support(self, body: VPolytope) -> Fraction:
@@ -126,9 +121,7 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
     elif total.dim == n - 1:
         # flat tuple: all the area sits on the two normals of its hyperplane,
         # and each body is its own face in both
-        v0 = total.vertices[0]
-        diffs = [vsub(v, v0) for v in total.vertices[1:]]
-        normal = _hyperplane_normal(diffs)
+        normal = _hyperplane_normal(total)
         faces = [b.vertices for b in bodies]
         for z in (Direction(normal), Direction(tuple(-c for c in normal))):
             w = _face_weight(faces, z)
@@ -137,11 +130,17 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
     return AtomicMeasure(atoms)
 
 
-def _hyperplane_normal(diffs) -> tuple[int, ...]:
-    sol = solve_linear([tuple(r) for r in diffs], [0] * len(diffs))
-    if sol is None or len(sol[1]) != 1:
-        raise TheoryViolationError("expected a one-dimensional normal space")
-    return primitive(sol[1][0])
+def _hyperplane_normal(flat: VPolytope) -> tuple[int, ...]:
+    """Primitive normal of the hyperplane of an (n-1)-dimensional body: the
+    generalized cross product of n-1 independent vertex differences (the
+    pivot columns of the transposed differences pick them)."""
+    v0 = flat.vertices[0]
+    diffs = [vsub(v, v0) for v in flat.vertices[1:]]
+    basis = [diffs[i] for i in pivot_columns(list(zip(*diffs)))]
+    if flat.n == 2:
+        (d,) = basis
+        return primitive((-d[1], d[0]))
+    return primitive(cross3(*basis) if flat.n == 3 else cross4(*basis))
 
 
 def mixed_area_diff(args: Sequence[DiffArg]) -> AtomicMeasure:
@@ -167,15 +166,13 @@ class ArcSupport:
 
     def contains(self, u: Direction) -> bool:
         """Exact membership: u in pos{z1, z2} for some arc."""
+        # with N = z1 x z2 and u = a*z1 + b*z2: z1 x u = b*N and u x z2 = a*N
         for z1, z2 in self.arcs:
-            rows = [(Fraction(z1.z[i]), Fraction(z2.z[i])) for i in range(u.n)]
-            sol = solve_linear(rows, u.z)
-            if sol is None:
-                continue
-            (a, b), null = sol
-            if null:
+            normal = cross3(z1.z, z2.z)
+            if not any(normal):
                 raise TheoryViolationError("arc ends are not independent")
-            if a >= 0 and b >= 0:
+            if (dot(u.z, normal) == 0 and dot(cross3(z1.z, u.z), normal) >= 0
+                    and dot(cross3(u.z, z2.z), normal) >= 0):
                 return True
         return False
 

@@ -4,7 +4,11 @@ All geometric data lives in vertex representation over Fractions.  Polytopes
 are immutable: the affine dimension, facet structure (full-dimensional bodies
 only) and edge adjacency (3D bodies) are computed once at construction.
 Sphere directions are primitive integer vectors, so equality questions about
-normals reduce to integer comparisons.
+normals reduce to integer comparisons.  A flat (lower-dimensional) body is
+handled in its pivot-coordinate chart: the coordinates on which projecting
+its affine hull is injective, where its image is full-dimensional and is cut
+out by facet inequalities (`_facet_chart`); hulls, point membership and
+Minkowski differences of flat bodies all go through that chart.
 
 Ambient dimensions 2, 3 and 4 are supported.
 """
@@ -275,6 +279,12 @@ def translate(p: VPolytope, x: Sequence) -> VPolytope:
     return scale_translate(p, 1, x)
 
 
+def _directions(p: VPolytope) -> list[Vec]:
+    """Vertex differences v - v_0, spanning the direction space of aff(P)."""
+    v0 = p.vertices[0]
+    return [vsub(v, v0) for v in p.vertices[1:]]
+
+
 def dim_pspan(bodies: Sequence[VPolytope]) -> int:
     """dim pspan of the Minkowski sum of the bodies, without forming it."""
     if not bodies:
@@ -282,10 +292,7 @@ def dim_pspan(bodies: Sequence[VPolytope]) -> int:
     n = bodies[0].n
     if any(b.n != n for b in bodies):
         raise PreconditionError("ambient dimension mismatch")
-    diffs = []
-    for b in bodies:
-        v0 = b.vertices[0]
-        diffs.extend(vsub(v, v0) for v in b.vertices[1:])
+    diffs = [d for b in bodies for d in _directions(b)]
     return matrank(diffs) if diffs else 0
 
 
@@ -296,27 +303,37 @@ def diameter_sq(p: VPolytope) -> Fraction:
                for v, w in itertools.combinations(p.vertices, 2))
 
 
-def contains_point(p: VPolytope, x: Sequence) -> bool:
-    xv = as_vec(x)
+def _facet_chart(p: VPolytope) -> tuple[Sequence[int], list[tuple[Vec, object]]]:
+    """P's pivot columns and the inequalities <y, z> <= b cutting out P's
+    image in them.
+
+    Keeping the pivot columns (the chart `convex_hull` uses for flat inputs)
+    is injective on aff(P), and P's image there is full-dimensional: a
+    full-dimensional P keeps all columns and its own facets, a flat polytope
+    gets the facets of its projected hull, a segment two bounds and a point
+    none.
+    """
     if p.dim == p.n:
-        return all(dot(xv, f.normal.z) <= f.offset for f in p.facets)
+        return range(p.n), [(f.normal.z, f.offset) for f in p.facets]
+    cols = pivot_columns(_directions(p))
+    img = [tuple(v[c] for c in cols) for v in p.vertices]
     if p.dim == 0:
-        return xv == p.vertices[0]
-    # lower-dimensional: x must sit in the affine hull, then reduce
-    v0 = p.vertices[0]
-    diffs = [vsub(v, v0) for v in p.vertices[1:]]
-    rows = [tuple(d[i] for d in diffs) for i in range(p.n)]
-    sol = solve_linear(rows, vsub(xv, v0))
-    if sol is None:
-        return False
+        return cols, []
     if p.dim == 1:
-        a, b = p.vertices[0], p.vertices[-1]
-        d = vsub(b, a)
-        t = dot(vsub(xv, a), d)
-        return 0 <= t <= norm_sq(d) and vscale(t, d) == vscale(norm_sq(d), vsub(xv, a))
-    cols = pivot_columns(diffs)
-    red = convex_hull([tuple(v[c] for c in cols) for v in p.vertices])
-    return contains_point(red, tuple(xv[c] for c in cols))
+        (lo,), (hi,) = sorted(img)
+        return cols, [((1,), hi), ((-1,), -lo)]
+    return cols, [(f.normal.z, f.offset) for f in convex_hull(img).facets]
+
+
+def contains_point(p: VPolytope, x: Sequence) -> bool:
+    """Whether x lies in P: on aff(P), a rank test needed only when P is
+    flat, and inside P's inequalities in its pivot-coordinate chart."""
+    xv = as_vec(x)
+    if p.dim < p.n and matrank(_directions(p) + [vsub(xv, p.vertices[0])]) > p.dim:
+        return False
+    cols, ineqs = _facet_chart(p)
+    y = tuple(xv[c] for c in cols)
+    return all(dot(y, z) <= b for z, b in ineqs)
 
 
 def dist_sq_point(p: VPolytope, x: Sequence) -> Fraction:
@@ -419,33 +436,6 @@ def expand_support_diffs(args: Sequence[DiffArg]) -> Iterator[tuple[int, list[VP
 # Minkowski difference and summands
 
 
-def _subspace_chart(p: VPolytope):
-    """Injective linear projection of pspan(P) onto pivot coordinates and its
-    exact inverse, as (project, unproject) callables."""
-    v0 = p.vertices[0]
-    diffs = [vsub(v, v0) for v in p.vertices[1:]]
-    cols = pivot_columns(diffs)
-    # the pivot columns of the transpose are the first independent diffs
-    basis = [diffs[j] for j in pivot_columns(list(zip(*diffs)))]
-    proj_basis = [tuple(b[c] for c in cols) for b in basis]
-
-    def project(x: Vec) -> Vec:
-        return tuple(x[c] for c in cols)
-
-    def unproject(c: Vec) -> Vec:
-        rows = [tuple(pb[i] for pb in proj_basis) for i in range(len(cols))]
-        sol = solve_linear(rows, c)
-        if sol is None:
-            raise TheoryViolationError("point outside the chart's subspace")
-        t, _ = sol
-        out = tuple(Fraction(0) for _ in range(p.n))
-        for ti, b in zip(t, basis):
-            out = vadd(out, vscale(ti, b))
-        return out
-
-    return project, unproject
-
-
 def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     """P minus Q in the Minkowski sense: the body M with M + Q = P, or None.
 
@@ -453,63 +443,31 @@ def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     feasible vertex differences v_P - v_Q; the exact reconstruction check
     M + Q = P decides existence, since the difference is defined exactly by
     that equality.
+
+    Feasibility is tested in P's pivot-coordinate chart (`_facet_chart`).
+    A flat P first needs dir Q inside dir P, a rank test that a
+    full-dimensional P always passes.  Then every v - w + Q lies in aff(P),
+    where the chart is injective, so v - w + Q lies in P exactly when the
+    image y of v - w satisfies <y, z> <= b - h_Q'(z) for every inequality
+    <y, z> <= b of P's image, Q' being the image of Q.
     """
     if p.n != q.n:
         raise PreconditionError("ambient dimension mismatch")
-    if p.dim == 0:
-        if q.dim != 0:
-            return None
-        return singleton(vsub(p.vertices[0], q.vertices[0]))
-    # necessary: direction space of Q inside that of P
-    pv0, qv0 = p.vertices[0], q.vertices[0]
-    pdiffs = [vsub(v, pv0) for v in p.vertices[1:]]
-    qdiffs = [vsub(w, qv0) for w in q.vertices[1:]]
-    if qdiffs and matrank(pdiffs + qdiffs) > matrank(pdiffs):
+    if p.dim < p.n and q.dim > 0 and matrank(_directions(p) + _directions(q)) > p.dim:
         return None
-    if p.dim == p.n:
-        m = _mdiff_fulldim(p, q)
-    elif p.dim == 1:
-        m = _mdiff_segments(p, q)
-    else:
-        project, unproject = _subspace_chart(p)
-        pr = convex_hull([project(vsub(v, pv0)) for v in p.vertices])
-        qr = convex_hull([project(vsub(w, qv0)) for w in q.vertices])
-        mr = _mdiff_fulldim(pr, qr) if pr.dim == pr.n else None
-        if mr is None:
-            return None
-        shift = vsub(pv0, qv0)
-        m = convex_hull([vadd(unproject(c), shift) for c in mr.vertices])
-    return m
-
-
-def _mdiff_segments(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
-    a, b = p.vertices[0], p.vertices[-1]
-    d = vsub(b, a)
-    if q.dim == 0:
-        return convex_hull([vsub(a, q.vertices[0]), vsub(b, q.vertices[0])])
-    c, e = q.vertices[0], q.vertices[-1]
-    qd = vsub(e, c)
-    # qd = t*d with 0 <= t <= 1 required
-    nd = norm_sq(d)
-    t = Fraction(dot(qd, d), nd)
-    if vscale(t, d) != qd or t < 0 or t > 1:
-        return None
-    lo = vsub(a, c)
-    hi = vadd(lo, vscale(1 - t, d))
-    return convex_hull([lo, hi])
-
-
-def _mdiff_fulldim(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
-    constraints = [(f.normal.z, f.offset - support_value(q, f.normal)) for f in p.facets]
+    cols, ineqs = _facet_chart(p)
+    p_img = [tuple(v[c] for c in cols) for v in p.vertices]
+    q_img = [tuple(w[c] for c in cols) for w in q.vertices]
+    bounds = [(z, b - max(dot(w, z) for w in q_img)) for z, b in ineqs]
     feasible = set()
-    for v in p.vertices:
-        for w in q.vertices:
-            x = vsub(v, w)
-            if all(dot(x, z) <= b for z, b in constraints):
-                feasible.add(x)
+    for v, pv in zip(p.vertices, p_img):
+        for w, qw in zip(q.vertices, q_img):
+            x = vsub(pv, qw)
+            if all(dot(x, z) <= b for z, b in bounds):
+                feasible.add(vsub(v, w))
     if not feasible:
         return None
-    m = convex_hull(sorted(feasible))
+    m = convex_hull(feasible)
     if minkowski_sum(m, q) == p:
         return m
     return None

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from afel.area_measure import (
+    ArcSupport,
+    AtomicMeasure,
     ball_measure_numeric,
     ball_polytope,
     ball_support_arcs,
@@ -12,7 +15,7 @@ from afel.area_measure import (
     mixed_area_measure,
     significant_atoms,
 )
-from afel.errors import PreconditionError
+from afel.errors import PreconditionError, TheoryViolationError
 from afel.geometry import (
     Direction,
     SupportDiff,
@@ -98,6 +101,38 @@ def test_ball_support_arcs_cube(sym_cube):
     assert arcs.contains(Direction.of((1, 1, 0)))
     assert arcs.contains(Direction.of((0, -3, 4)))
     assert not arcs.contains(Direction.of((1, 1, 1)))
+
+
+def test_arc_contains_by_sign_pattern():
+    """u = a*z1 + b*z2 is on the arc pos{z1, z2} exactly when a, b >= 0; a
+    direction off the arc's plane never is."""
+    z1, z2 = (2, -1, 3), (1, 4, 0)
+    arcs = ArcSupport(((Direction.of(z1), Direction.of(z2)),))
+    off = (12, -3, -9)  # z1 x z2
+    for a, b in itertools.product((-3, -1, 0, 1, 2), repeat=2):
+        if (a, b) == (0, 0):
+            continue
+        u = tuple(a * x + b * y for x, y in zip(z1, z2))
+        assert arcs.contains(Direction.of(u)) is (a >= 0 and b >= 0), (a, b)
+        for k in (-1, 1):
+            tilted = tuple(x + k * o for x, o in zip(u, off))
+            assert not arcs.contains(Direction.of(tilted)), (a, b, k)
+    assert not arcs.contains(Direction.of(off))
+    parallel = ArcSupport(((Direction.of(z1), Direction.of(tuple(2 * x for x in z1))),))
+    with pytest.raises(TheoryViolationError):
+        parallel.contains(Direction.of(z1))
+
+
+def test_atomic_measure_keeps_its_own_atoms():
+    """The measure copies the dict it is given: the caller's dict keeps its
+    zero weights, and writing to it later leaves the measure unchanged."""
+    e1, e2 = Direction.of((1, 0)), Direction.of((0, 1))
+    given = {e1: Fraction(1), e2: Fraction(0)}
+    m = AtomicMeasure(given)
+    assert m.atoms == {e1: 1} and given == {e1: 1, e2: 0}
+    given[e2] = Fraction(5)
+    assert m.atoms == {e1: 1}
+    assert m.plus(m.scaled(-1)).is_zero() and m.scaled(0).is_zero()
 
 
 def test_ball_support_arcs_tetra(tetra):

@@ -234,6 +234,92 @@ def test_minkowski_difference_against_erosion_oracle():
         checked += 1
 
 
+# injective rational linear maps R^2 -> R^n, written out as (a, b): x -> x0*a + x1*b
+PLANE_MAPS = [
+    ((1, Fraction(1, 2), 2), (0, 3, -1)),
+    ((1, 0, 2, Fraction(-1, 3)), (Fraction(1, 2), 1, 0, 1)),
+]
+
+
+def _apply(mp, x, offset):
+    a, b = mp
+    return tuple(o + x[0] * ai + x[1] * bi for o, ai, bi in zip(offset, a, b))
+
+
+@pytest.mark.parametrize("mp", PLANE_MAPS, ids=["R3", "R4"])
+def test_minkowski_difference_of_embedded_polygons_against_erosion_oracle(mp):
+    """The 2D oracle cases carried into a plane of R^3 or R^4: P -> L(P) + c
+    and Q -> L(Q) + s, with s inside or off the plane, so the difference is
+    L(M) + c - s exactly when M is the 2D difference; a Q off P's direction
+    space has none.  Every other P is built as a sum with Q."""
+    n = len(mp[0])
+    c = tuple(Fraction(k + 1, 2) for k in range(n))
+    shifts = [tuple([0] * n), _apply(mp, (2, -1), [0] * n), tuple(range(1, n + 1))]
+    tilt = tuple(Fraction(1, 7) if k == n - 1 else 0 for k in range(n))
+    rng = random.Random(31337)
+    checked = 0
+    while checked < 40:
+        p = convex_hull([tuple(rng.randrange(-4, 5) for _ in range(2))
+                         for _ in range(rng.randrange(3, 7))])
+        q = convex_hull([tuple(rng.randrange(-2, 3) for _ in range(2))
+                         for _ in range(rng.randrange(2, 5))])
+        if p.dim < 2:
+            continue
+        if checked % 2:
+            p = minkowski_sum(p, q)  # a case with a difference
+        oracle = _erosion_2d_oracle(p, q)
+        oracle_ok = oracle is not None and minkowski_sum(oracle, q) == p
+        s = shifts[checked % len(shifts)]
+        p_up = convex_hull([_apply(mp, v, c) for v in p.vertices])
+        q_up = convex_hull([_apply(mp, w, s) for w in q.vertices])
+        m = minkowski_difference(p_up, q_up)
+        if oracle_ok:
+            offset = tuple(ci - si for ci, si in zip(c, s))
+            assert m == convex_hull([_apply(mp, x, offset) for x in oracle.vertices])
+        else:
+            assert m is None
+        assert is_summand(q_up, p_up) is oracle_ok
+        if q.dim > 0:
+            tilted = convex_hull([_apply(mp, w, s) for w in q.vertices] + [tilt])
+            assert tilted.dim > q.dim and minkowski_difference(p_up, tilted) is None
+        checked += 1
+
+
+def _axpy(t, d, x):
+    return tuple(t * di + xi for di, xi in zip(d, x))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_minkowski_difference_of_segments_and_points(n):
+    """P = [a, a + d]: Q = [c, c + t*d] is a summand exactly when |t| <= 1,
+    with difference [a - c', a - c' + (1 - |t|)*d] for c' the end of Q that
+    comes first along d; points shift."""
+    a = tuple(range(1, n + 1))
+    d = tuple(Fraction(k, 2) - 1 for k in range(n))
+    c = tuple(Fraction(1, 3) * (-1) ** k for k in range(n))
+    p = segment(a, _axpy(1, d, a))
+    for t in (Fraction(2), Fraction(-3, 2), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3)):
+        q = segment(c, _axpy(t, d, c))
+        first = c if t > 0 else _axpy(t, d, c)
+        m = minkowski_difference(p, q)
+        if abs(t) > 1:
+            assert m is None and not is_summand(q, p), t
+        else:
+            lo = tuple(x - y for x, y in zip(a, first))
+            assert m == convex_hull([lo, _axpy(1 - abs(t), d, lo)]), t
+    off = tuple(1 if k == 0 else 0 for k in range(n))  # not parallel to d
+    assert minkowski_difference(p, segment(c, _axpy(1, off, c))) is None
+    # points: a point Q translates, a point P has only point summands
+    pt = singleton(c)
+    moved = tuple(x - y for x, y in zip(a, c))
+    assert minkowski_difference(p, pt) == segment(moved, _axpy(1, d, moved))
+    assert minkowski_difference(singleton(a), pt) == singleton(moved)
+    assert minkowski_difference(singleton(a), p) is None
+    plane = convex_hull([a, _axpy(1, d, a), _axpy(1, off, a)])
+    assert minkowski_difference(plane, pt) == convex_hull(
+        [tuple(x - y for x, y in zip(v, c)) for v in plane.vertices])
+
+
 def test_summand_of_constructed_sum():
     for seed in range(15):
         rng = random.Random(seed)
@@ -356,13 +442,29 @@ LOWER_DIM_CASES = [
         ("off-hull", (3, 1, 0, 2), False, 5),  # nearest (1, 1, 0, 3)
         ("off-hull-outside", (1, F(5, 2), F(3, 2), 4), False, 3),
     ]),
+    # the segment from (1, 0, 0) to (1, 2, 2) in R^3
+    ([(1, 0, 0), (1, 2, 2)], [
+        ("inside", (1, 1, 1), True, 0),
+        ("end", (1, 2, 2), True, 0),
+        ("line-outside", (1, 3, 3), False, 2),  # nearest (1, 2, 2)
+        ("off-line", (2, 1, 1), False, 1),  # nearest (1, 1, 1)
+        ("off-line-outside", (1, 4, 2), False, 4),  # nearest (1, 2, 2)
+        ("off-line-before", (1, -1, F(-1, 2)), False, F(5, 4)),  # nearest (1, 0, 0)
+    ]),
+    # the point (1, 2, 3, 4) in R^4
+    ([(1, 2, 3, 4)], [
+        ("same", (1, 2, 3, 4), True, 0),
+        ("off", (1, 2, 3, 5), False, 1),
+        ("origin", (0, 0, 0, 0), False, 30),
+    ]),
 ]
 
 
-@pytest.mark.parametrize("verts,cases", LOWER_DIM_CASES, ids=["triangle-R3", "square-R4"])
+@pytest.mark.parametrize("verts,cases", LOWER_DIM_CASES,
+                         ids=["triangle-R3", "square-R4", "segment-R3", "point-R4"])
 def test_lower_dimensional_containment_and_distance(verts, cases):
     p = convex_hull(verts)
-    assert p.dim == 2 and p.dim < p.n
+    assert p.dim < p.n
     for label, x, inside, dist in cases:
         assert contains_point(p, x) is inside, label
         assert dist_sq_point(p, x) == dist, label

@@ -27,3 +27,25 @@ def test_no_function_local_imports():
                 offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports at module level is used in that module
+    (`__init__` re-exports, so it is left out)."""
+    offenders = []
+    for path in sorted(Path(afel.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used]
+    assert offenders == []
