@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, sqrt
 from typing import Sequence
 
@@ -205,8 +206,12 @@ def rational_sphere_points(side: int, n: int = 3) -> list[tuple]:
     return sorted(pts)
 
 
+@lru_cache
 def ball_polytope(m: int, n: int = 3) -> VPolytope:
-    """Inscribed rational approximation of the unit ball with >= m facets."""
+    """Inscribed rational approximation of the unit ball with >= m facets.
+
+    Built once per (m, n) in a process: a `VPolytope` is never mutated, so
+    every caller may share the one body."""
     if n not in (3, 4):
         raise PreconditionError("rational ball approximation supports n in {3, 4}")
     side = max(3, isqrt(max(m, 4) // 4) + 1)

@@ -5,8 +5,20 @@ mixed difference of the volume polynomial (the interpolation route) and the
 area-measure integral exist as independent oracles and must agree with it to
 the last bit.
 
-Inclusion-exclusion and interpolation share `volume`; the measure route shares
-neither, as its facet weights are measure integrals one dimension lower.
+The three routes share no volume code.  Inclusion-exclusion takes `volume`
+(divergence over hull facets) of its subset sums.  Interpolation sums
+simplex determinants over one pulling triangulation.  The measure route's
+facet weights are measure integrals one dimension lower.
+
+Interpolation hulls one combination that inclusion-exclusion never forms,
+1*K_1 + 2*K_2 + ... + n*K_n, tagged by summand vertices
+(`minkowski_sum_tagged`), and reads no subset sum of the other route.  Every
+all-positive combination sum_i a_i K_i has the same normal fan, since
+F(sum_i a_i K_i, z) = sum_i a_i F(K_i, z) (Schneider, Convex Bodies, 2nd ed.
+2014, section 1.7): the same faces, with the vertex tagged t at
+sum_i a_i v_{i,t_i}.  A pulling triangulation reads only the faces and the
+vertex order, so the one triangulation of that hull triangulates the sum at
+each of the 2^n nodes of the mixed difference, all of which are kept.
 """
 
 from __future__ import annotations
@@ -21,11 +33,15 @@ from .errors import PreconditionError
 from .geometry import (
     DiffArg,
     VPolytope,
+    _integerize,
+    convex_hull,
     expand_support_diffs,
     minkowski_sum,
+    minkowski_sum_tagged,
     scale_translate,
 )
 from .hull import _shoelace, divergence_volume
+from .linalg import cross3, cross4, dot, vsub
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -84,35 +100,63 @@ def _difference_nodes(n: int) -> list[tuple[tuple[int, ...], int]]:
     return [(a, (-1) ** a.count(1)) for a in itertools.product((1, 2), repeat=n)]
 
 
+def _pulling_triangulation(p: VPolytope) -> list[tuple[int, ...]]:
+    """Simplices, as tuples of vertex ids, of the pulling triangulation of a
+    full-dimensional polytope: the cone from vertex 0 over the triangulated
+    facets that miss it.  A facet is triangulated the same way in the hull
+    of its vertices projected by dropping coordinate `f.drop`; a polygon's
+    facet is an edge, its own simplex.  Only the face lattice and the vertex
+    order are read."""
+    simplices = []
+    for f in p.facets:
+        if 0 in f.vertex_ids:
+            continue
+        if p.n == 2:
+            simplices.append((0,) + f.vertex_ids)
+            continue
+        d = f.drop
+        ids = {p.vertices[i][:d] + p.vertices[i][d + 1:]: i for i in f.vertex_ids}
+        face = convex_hull(ids)
+        simplices += [(0,) + tuple(ids[face.vertices[k]] for k in s)
+                      for s in _pulling_triangulation(face)]
+    return simplices
+
+
+def _simplex_det(pts, s: tuple[int, ...]):
+    """det(p_1 - p_0, ..., p_n - p_0) for the points of simplex s."""
+    p0 = pts[s[0]]
+    u = [vsub(pts[i], p0) for i in s[1:]]
+    if len(u) == 2:
+        return u[0][0] * u[1][1] - u[0][1] * u[1][0]
+    if len(u) == 3:
+        return dot(u[0], cross3(u[1], u[2]))
+    return dot(u[0], cross4(u[1], u[2], u[3]))
+
+
 def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
     """Coefficient extraction from the volume polynomial of Minkowski
     combinations: the n-th mixed difference of vol(sum_i a_i K_i) over the
     2^n nodes a in {1, 2}^n.
 
-    The route forms its own scaled sums and never reads another route's; the
-    one body it shares with inclusion-exclusion is the full sum at
-    a = (1, ..., 1)."""
+    One tagged hull, of 1*K_1 + ... + n*K_n, and its pulling triangulation
+    serve every node (module docstring): node a moves the vertex tagged t to
+    sum_i a_i v_{i,t_i} and sums |det| over the simplices, in integers over
+    one common denominator."""
     n = _check_tuple(bodies)
-    # fold smallest body first, as minkowski_sum_many does; the first n-1
-    # scaled bodies of a node are a prefix that later nodes often share
-    order = sorted(range(n), key=lambda i: len(bodies[i].vertices))
-    origin = (0,) * n
-    prefixes: dict[tuple[tuple[int, int], ...], VPolytope] = {}
-    total = Fraction(0)
+    total, tags = minkowski_sum_tagged(
+        [scale_translate(b, i + 1, (0,) * n) for i, b in enumerate(bodies)])
+    if total.dim < n:
+        return Fraction(0)  # every node's sum is flat
+    simplices = _pulling_triangulation(total)
+    ints, den = _integerize([v for b in bodies for v in b.vertices])
+    stream = iter(ints)
+    coords = [[next(stream) for _ in b.vertices] for b in bodies]
+    acc = 0
     for a, sign in _difference_nodes(n):
-        key: tuple[tuple[int, int], ...] = ()
-        acc = None
-        for k, i in enumerate(order):
-            key += ((i, a[i]),)
-            nxt = prefixes.get(key)
-            if nxt is None:
-                scaled = scale_translate(bodies[i], a[i], origin)
-                nxt = scaled if acc is None else minkowski_sum(acc, scaled)
-                if k < n - 1:
-                    prefixes[key] = nxt
-            acc = nxt
-        total += sign * volume(acc)
-    return Fraction(total, math.factorial(n))
+        pts = [tuple(sum(a[i] * coords[i][t[i]][c] for i in range(n)) for c in range(n))
+               for t in tags]
+        acc += sign * sum(abs(_simplex_det(pts, s)) for s in simplices)
+    return Fraction(acc, math.factorial(n) ** 2 * den ** n)
 
 
 def mixed_volume_via_measure(bodies: Sequence[VPolytope]) -> Fraction:

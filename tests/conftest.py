@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -57,3 +59,12 @@ def random_body(rng: random.Random, n: int, max_points: int = 6, span: int = 3,
         p = convex_hull(pts)
         if not full_dim or p.dim == n:
             return p
+
+
+def leibniz_det(m):
+    """Determinant of a square matrix of exact numbers, by the Leibniz formula."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
+    return total

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,3 +194,19 @@ def test_ball_measure_numeric_4d():
     b = ball_polytope(30, 4)
     lhs = Fraction(m.integrate_support(probe), 4)
     assert lhs == mixed_volume([b, tess, tess, probe])
+
+
+def test_ball_polytope_is_built_once_per_size(monkeypatch):
+    am = sys.modules["afel.area_measure"]
+    hulls = []
+    real = am.convex_hull
+    monkeypatch.setattr(am, "convex_hull", lambda pts: hulls.append(1) or real(pts))
+    ball_polytope.cache_clear()
+    first = ball_polytope(40)
+    assert hulls
+    hulls.clear()
+    assert ball_polytope(40) is first
+    assert not hulls
+    ball_polytope.cache_clear()
+    assert ball_polytope(40) == first
+    assert len(first.facets) >= 40

@@ -4,13 +4,14 @@ columns where the rank of the column prefix rises, and solutions checked by
 substitution and by the shape of the reduced row echelon form."""
 
 import itertools
-import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afel.linalg import matrank, pivot_columns, solve_linear
+
+from conftest import leibniz_det
 
 ENTRY = st.one_of(
     st.integers(-4, 4),
@@ -39,14 +40,6 @@ def matrices(draw):
             a, b = draw(ENTRY), draw(ENTRY)
             rows.append(tuple(a * x + b * y for x, y in zip(r, s)))
     return draw(st.permutations(rows))
-
-
-def leibniz_det(m):
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
-    return total
 
 
 def minor_rank(rows):

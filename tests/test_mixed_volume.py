@@ -8,14 +8,16 @@ import pytest
 
 from afel.area_measure import mixed_area_measure
 from afel.errors import PreconditionError
-from afel.generators import gen_quad_tuple_4d
+from afel.generators import gen_quad_tuple_4d, gen_zonotope
 from afel.geometry import (
     Direction,
     SupportDiff,
     convex_hull,
     minkowski_sum,
+    minkowski_sum_tagged,
     scale_translate,
     segment,
+    singleton,
 )
 from afel.mixed_volume import (
     mixed_volume,
@@ -25,7 +27,7 @@ from afel.mixed_volume import (
     volume,
 )
 
-from conftest import random_body
+from conftest import leibniz_det, random_body
 
 # the package re-exports the function mixed_volume under the module's name
 mv_module = sys.modules["afel.mixed_volume"]
@@ -78,15 +80,35 @@ def test_routes_agree_on_examples(unit_cube, axis_segments):
         assert mixed_volume_via_measure(tup) == v
 
 
+def _flat_tuples():
+    """Tuples whose sum is flat, and tuples with a point among the bodies."""
+    rng = random.Random(77)
+    out = [[segment((0, 0), (1, 2)), segment((-1, -2), (2, 4))]]
+    for n in (3, 4):
+        for _ in range(3):
+            out.append([convex_hull([v + (0,) for v in random_body(rng, n - 1).vertices])
+                        for _ in range(n)])
+    for n in (2, 3, 4):
+        for _ in range(2):
+            bodies = [random_body(rng, n, full_dim=True) for _ in range(n - 1)]
+            bodies.insert(rng.randrange(n), singleton((1,) * n))
+            out.append(bodies)
+    out.append([segment((0, 0, 0), (1, 2, 3)), segment((1, 1, 1), (3, 5, 7)),
+                segment((0, 0, 0), (1, 0, 0))])
+    return out
+
+
 def test_cross_route_agreement_random():
+    # random tuples, then flat tuples and tuples with a point, whose mixed
+    # volume is 0
     rng = random.Random(2024)
-    for n, trials in ((2, 10), (3, 10)):
-        for _ in range(trials):
-            bodies = [random_body(rng, n) for _ in range(n)]
-            v = mixed_volume(bodies)
-            assert v >= 0
-            assert mixed_volume_interpolated(bodies) == v
-            assert mixed_volume_via_measure(bodies) == v
+    cases = [([random_body(rng, n) for _ in range(n)], None) for n in (2, 3) for _ in range(10)]
+    cases += [(bodies, 0) for bodies in _flat_tuples()]
+    for bodies, known in cases:
+        v = mixed_volume(bodies)
+        assert v >= 0 if known is None else v == known
+        assert mixed_volume_interpolated(bodies) == v
+        assert mixed_volume_via_measure(bodies) == v
 
 
 def test_symmetry():
@@ -144,21 +166,27 @@ def test_difference_nodes_extract_mixed_coefficient(n, count):
 
 
 
-def block_volume_routes(monkeypatch):
-    """Make inclusion-exclusion, interpolation and `volume` raise wherever
-    an afel module binds them, so that any call from the measure route fails."""
+def block_in_afel(monkeypatch, route, funcs):
+    """Make each function raise wherever an afel module binds it, so that
+    any call from `route` fails."""
     def blocker(name):
         def raiser(*args, **kwargs):
-            raise RuntimeError(f"the measure route called {name}")
+            raise RuntimeError(f"{route} called {name}")
         return raiser
 
-    blocked = {id(f): blocker(f.__name__)
-               for f in (mixed_volume, mixed_volume_interpolated, volume)}
+    blocked = {id(f): blocker(f.__name__) for f in funcs}
     for name, module in list(sys.modules.items()):
         if name == "afel" or name.startswith("afel."):
             for attr, val in list(vars(module).items()):
                 if id(val) in blocked:
                     monkeypatch.setattr(module, attr, blocked[id(val)])
+
+
+def block_volume_routes(monkeypatch):
+    """Block inclusion-exclusion, interpolation and `volume` for the measure
+    route."""
+    block_in_afel(monkeypatch, "the measure route",
+                  (mixed_volume, mixed_volume_interpolated, volume))
 
 
 def test_measure_route_never_calls_the_volume_routes(monkeypatch):
@@ -185,3 +213,57 @@ def test_flat_4d_measure_is_3d_mixed_volume_at_both_normals(monkeypatch):
         flat = [convex_hull([p + (0,) for p in b.vertices]) for b in low]
         m = mixed_area_measure(flat)
         assert m.atoms == {Direction((0, 0, 0, 1)): v, Direction((0, 0, 0, -1)): v}
+
+
+def test_interpolation_route_reads_no_other_route(monkeypatch):
+    # the 3D tuples of acceptance criterion 1, three 4D tuples and 2D pairs:
+    # one tagged hull per tuple, of 1*K_1 + ... + n*K_n, and nothing of
+    # inclusion-exclusion, the measure route or `volume`
+    rng = random.Random(101)
+    tuples = [[random_body(rng, 3, max_points=5) for _ in range(3)] for _ in range(50)]
+    tuples += [gen_quad_tuple_4d(seed) for seed in range(3)]
+    tuples += [[random_body(rng, 2, max_points=7, span=4) for _ in range(2)]
+               for _ in range(10)]
+    values = [mixed_volume(t) for t in tuples]
+    block_in_afel(monkeypatch, "the interpolation route",
+                  (volume, mixed_volume, minkowski_sum, mixed_volume_via_measure,
+                   mixed_area_measure))
+    with pytest.raises(RuntimeError):
+        mv_module.volume(tuples[0][0])
+    sums = []
+
+    def spy(bodies):
+        sums.append(list(bodies))
+        return minkowski_sum_tagged(bodies)
+
+    monkeypatch.setattr(mv_module, "minkowski_sum_tagged", spy)
+    for bodies, v in zip(tuples, values):
+        sums.clear()
+        assert mixed_volume_interpolated(bodies) == v
+        assert len(sums) == 1
+        (scaled,) = sums
+        assert len(scaled) == len(bodies)
+        for a, (ab, b) in enumerate(zip(scaled, bodies), start=1):
+            assert ab.vertices == tuple(tuple(a * c for c in x) for x in b.vertices)
+
+
+def _box(sides):
+    return convex_hull(list(itertools.product(*((0, s) for s in sides))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pulling_triangulation_against_volume(n):
+    # random hulls, zonotopes and boxes, whose facets hold many coplanar
+    # vertices: the simplices fill the body and none is degenerate
+    rng = random.Random(1500 + n)
+    bodies = [random_body(rng, n, max_points=4 + 2 * n, full_dim=True) for _ in range(6)]
+    bodies += [gen_zonotope(n, n + k, seed) for k, seed in ((0, 1), (1, 2), (2, 3))]
+    bodies += [_box(range(1, n + 1)), _box((Fraction(1, 2),) + (3,) * (n - 1))]
+    for p in bodies:
+        simplices = mv_module._pulling_triangulation(p)
+        assert all(len(s) == n + 1 and len(set(s)) == n + 1 for s in simplices)
+        dets = [leibniz_det([[a - b for a, b in zip(p.vertices[i], p.vertices[s[0]])]
+                             for i in s[1:]]) for s in simplices]
+        assert all(d != 0 for d in dets)
+        assert Fraction(sum(abs(d) for d in dets), math.factorial(n)) == volume(p)
+
