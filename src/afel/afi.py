@@ -4,6 +4,12 @@ Two independent decision routes are implemented for the positive branch:
 the measure route compares mixed area measures exactly, the support route
 solves for a homothety witness (a, x) on the arc support of S(B^3, C, .).
 Their verdicts must agree; the redundancy is deliberate cross-validation.
+
+The equality routes share no mixed-volume code: the measure route reads
+V(L,L,C) and V(K,L,C) off its own measures, the support route decides
+V(K,L,C) > 0 as semicriticality by rank tests (Schneider, Convex Bodies,
+2nd ed. 2014, Thm 5.1.8).  The discriminant stays on inclusion-exclusion,
+one table of subset sums, so it checks the measure route independently.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .area_measure import ball_support_arcs, mixed_area_diff, mixed_area_measure
+from .criticality import classify
 from .errors import PreconditionError, TheoryViolationError
 from .geometry import Direction, SupportDiff, VPolytope, scale_translate
 from .linalg import dot, min_norm_solution, primitive, solve_linear, vsub
-from .mixed_volume import mixed_volume, mixed_volume_diff
+from .mixed_volume import _check_tuple, _inclusion_exclusion, mixed_volume, mixed_volume_diff
 
 
 @dataclass(frozen=True)
@@ -33,9 +40,7 @@ class AFIReport:
 def afi_check(k: VPolytope, l: VPolytope, c_tuple: Sequence[VPolytope]) -> AFIReport:
     """Exact discriminant V(K,L,C)^2 - V(K,K,C) V(L,L,C) with equality flag."""
     c = list(c_tuple)
-    v_kl = mixed_volume([k, l] + c)
-    v_kk = mixed_volume([k, k] + c)
-    v_ll = mixed_volume([l, l] + c)
+    v_kl, v_kk, v_ll = _inclusion_exclusion([[k, l] + c, [k, k] + c, [l, l] + c])
     disc = v_kl * v_kl - v_kk * v_ll
     if disc < 0:
         raise TheoryViolationError(
@@ -66,14 +71,17 @@ def gafi_check(k1: VPolytope, k2: VPolytope, l: VPolytope,
 def equality_by_measure(k: VPolytope, l: VPolytope,
                         c_tuple: Sequence[VPolytope]) -> Optional[Fraction]:
     """Measure route: equality holds iff S(K,C,.) = a S(L,C,.) with
-    a = V(K,L,C)/V(L,L,C); returns a on success."""
+    a = V(K,L,C)/V(L,L,C), the ratio of the integrals of h_L against the two
+    measures (so any such factor is a); returns a on success."""
     c = list(c_tuple)
-    v_ll = mixed_volume([l, l] + c)
-    if v_ll == 0:
-        raise PreconditionError("V(L,L,C) = 0: the degenerate branch applies")
-    a = Fraction(mixed_volume([k, l] + c), v_ll)
-    s_k = mixed_area_measure([k] + c)
+    _check_tuple([l, l] + c)
     s_l = mixed_area_measure([l] + c)
+    v = s_l.integrate_support(l)
+    if v == 0:
+        raise PreconditionError("V(L,L,C) = 0: the degenerate branch applies")
+    _check_tuple([k, l] + c)
+    s_k = mixed_area_measure([k] + c)
+    a = Fraction(s_k.integrate_support(l), v)
     if s_k == s_l.scaled(a):
         return a
     return None
@@ -131,20 +139,12 @@ def _arc_constraints(plus: VPolytope, minus: VPolytope, c: VPolytope, constraint
     """Stacked exact constraints on the arc support of S(B^3, C, .): each
     nondegenerate piece of the merged envelopes of plus and minus contributes
     constraint(z, v_plus, v_minus) -> (row, rhs) at both arc ends z, once."""
-    rows = []
-    rhs = []
-    seen = set()
+    keys = {}  # a dict keeps the first occurrence of each constraint, in order
     for z1, z2 in ball_support_arcs(c).arcs:
         for lo, hi, vp, vm in _merged_pieces(plus, minus, z1, z2):
-            if lo == hi:
-                continue
-            for z in (z1, z2):
-                key = constraint(z, vp, vm)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(key[0])
-                    rhs.append(key[1])
-    return rows, rhs
+            if lo != hi:
+                keys.update(dict.fromkeys(constraint(z, vp, vm) for z in (z1, z2)))
+    return [row for row, _ in keys], [b for _, b in keys]
 
 
 def _homothety_constraint(z: Direction, vk, vl):
@@ -166,7 +166,7 @@ def equality_by_support(k: VPolytope, l: VPolytope,
         raise PreconditionError("support route requires ambient dimension 3")
     if c.dim != 3:
         raise PreconditionError("C must be full-dimensional (supercritical)")
-    if mixed_volume([k, l, c]) <= 0:
+    if not classify([k, l, c]).at_least("semicritical"):
         raise PreconditionError("V(K,L,C) > 0 required for the positive branch")
     rows, rhs = _arc_constraints(k, l, c, _homothety_constraint)
     sol = solve_linear(rows, rhs)
@@ -253,15 +253,8 @@ def degenerate_branch(k: VPolytope, l: VPolytope,
                       c_tuple: Sequence[VPolytope]) -> DegenerateReport:
     """Branch (a): V(K,L,C) = 0 forces equality in the inequality and
     homothety of K and L (for supercritical C)."""
-    c = list(c_tuple)
-    v_kl = mixed_volume([k, l] + c)
-    if v_kl != 0:
+    rep = afi_check(k, l, c_tuple)  # it raises on a negative discriminant
+    if rep.branch != "degenerate":
         raise PreconditionError("degenerate branch requires V(K,L,C) = 0")
-    v_kk = mixed_volume([k, k] + c)
-    v_ll = mixed_volume([l, l] + c)
-    disc = -v_kk * v_ll
-    if disc != 0:
-        raise TheoryViolationError(
-            "V(K,L,C) = 0 but V(K,K,C) V(L,L,C) != 0 contradicts the inequality")
     hom, witness = is_homothetic(k, l)
-    return DegenerateReport(disc, hom, witness)
+    return DegenerateReport(rep.discriminant, hom, witness)

@@ -70,24 +70,18 @@ def cross3(a: Vec, b: Vec) -> Vec:
 
 
 def cross4(a: Vec, b: Vec, c: Vec) -> Vec:
-    """Vector orthogonal to a, b, c in R^4 (cofactor expansion)."""
-
-    def det3(r0, r1, r2):
-        return (
-            r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-        )
-
-    m = [a, b, c]
-    out = []
-    sign = 1
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        sub = [[row[j] for j in cols] for row in m]
-        out.append(sign * det3(sub[0], sub[1], sub[2]))
-        sign = -sign
-    return tuple(out)
+    """Vector orthogonal to a, b, c in R^4: the cofactors of the first row
+    of det(x; a; b; c), each expanded along a over the 2x2 minors of b, c."""
+    m01 = b[0] * c[1] - b[1] * c[0]
+    m02 = b[0] * c[2] - b[2] * c[0]
+    m03 = b[0] * c[3] - b[3] * c[0]
+    m12 = b[1] * c[2] - b[2] * c[1]
+    m13 = b[1] * c[3] - b[3] * c[1]
+    m23 = b[2] * c[3] - b[3] * c[2]
+    return (a[1] * m23 - a[2] * m13 + a[3] * m12,
+            -(a[0] * m23 - a[2] * m03 + a[3] * m02),
+            a[0] * m13 - a[1] * m03 + a[3] * m01,
+            -(a[0] * m12 - a[1] * m02 + a[2] * m01))
 
 
 def num(x):

@@ -6,7 +6,8 @@ area-measure integral exist as independent oracles and must agree with it to
 the last bit.
 
 The three routes share no volume code.  Inclusion-exclusion takes `volume`
-(divergence over hull facets) of its subset sums.  Interpolation sums
+(divergence over hull facets) of its subset sums, from one table of sums
+for all the tuples of a call (`_inclusion_exclusion`).  Interpolation sums
 simplex determinants over one pulling triangulation.  The measure route's
 facet weights are measure integrals one dimension lower.
 
@@ -72,20 +73,30 @@ def _check_tuple(bodies: Sequence[VPolytope]) -> int:
 
 def mixed_volume(bodies: Sequence[VPolytope]) -> Fraction:
     """Alternating sum of volumes of Minkowski sub-sums (reference route)."""
-    n = _check_tuple(bodies)
-    sums: dict[frozenset, VPolytope] = {}
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        sign = (-1) ** (n + k)
-        for subset in itertools.combinations(range(n), k):
-            key = frozenset(subset)
-            if k == 1:
-                sums[key] = bodies[subset[0]]
-            else:
-                prev = frozenset(subset[:-1])
-                sums[key] = minkowski_sum(sums[prev], bodies[subset[-1]])
-            total += sign * volume(sums[key])
-    return Fraction(total, math.factorial(n))
+    return _inclusion_exclusion([bodies])[0]
+
+
+def _inclusion_exclusion(tuples: Sequence[Sequence[VPolytope]]) -> list[Fraction]:
+    """`mixed_volume` of each tuple over one table of subset sums and their
+    volumes, keyed by the sorted indices of the summands among the distinct
+    bodies: each distinct sum is hulled once, and m copies of one body are
+    the scaled body m*K, not a hull."""
+    bodies = list({id(b): b for t in tuples for b in t}.values())
+    index = {id(b): i for i, b in enumerate(bodies)}
+    table = {(i,): (b, volume(b)) for i, b in enumerate(bodies)}
+    values = []
+    for t in tuples:
+        n = _check_tuple(t)
+        total = Fraction(0)
+        for k in range(1, n + 1):
+            for key in itertools.combinations(sorted(index[id(b)] for b in t), k):
+                if key not in table:
+                    s = (scale_translate(bodies[key[0]], k, (0,) * n) if key[0] == key[-1]
+                         else minkowski_sum(table[key[:-1]][0], bodies[key[-1]]))
+                    table[key] = s, volume(s)
+                total += (-1) ** (n + k) * table[key][1]
+        values.append(Fraction(total, math.factorial(n)))
+    return values
 
 
 def _difference_nodes(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -103,22 +114,24 @@ def _difference_nodes(n: int) -> list[tuple[tuple[int, ...], int]]:
 def _pulling_triangulation(p: VPolytope) -> list[tuple[int, ...]]:
     """Simplices, as tuples of vertex ids, of the pulling triangulation of a
     full-dimensional polytope: the cone from vertex 0 over the triangulated
-    facets that miss it.  A facet is triangulated the same way in the hull
-    of its vertices projected by dropping coordinate `f.drop`; a polygon's
-    facet is an edge, its own simplex.  Only the face lattice and the vertex
-    order are read."""
+    facets that miss it.  A polygon's edge is its own simplex; a polygon
+    facet is fanned from the first vertex of its stored cycle, its smallest
+    id; an R^4 facet is triangulated the same way in the hull of its
+    vertices projected by dropping coordinate `f.drop`.  Only the face
+    lattice and the vertex order are read."""
     simplices = []
     for f in p.facets:
-        if 0 in f.vertex_ids:
+        ids = f.vertex_ids
+        if 0 in ids:
             continue
-        if p.n == 2:
-            simplices.append((0,) + f.vertex_ids)
-            continue
-        d = f.drop
-        ids = {p.vertices[i][:d] + p.vertices[i][d + 1:]: i for i in f.vertex_ids}
-        face = convex_hull(ids)
-        simplices += [(0,) + tuple(ids[face.vertices[k]] for k in s)
-                      for s in _pulling_triangulation(face)]
+        if p.n < 4:  # the edge itself, or the polygon fanned from ids[0]
+            simplices += [(0, ids[0]) + ids[i:i + p.n - 1] for i in range(1, len(ids) + 2 - p.n)]
+        else:
+            d = f.drop
+            proj = {p.vertices[i][:d] + p.vertices[i][d + 1:]: i for i in ids}
+            face = convex_hull(proj)
+            simplices += [(0,) + tuple(proj[face.vertices[k]] for k in s)
+                          for s in _pulling_triangulation(face)]
     return simplices
 
 
@@ -174,7 +187,5 @@ def mixed_volume_diff(args: Sequence[DiffArg]) -> Fraction:
     n = args[0].n
     if len(args) != n:
         raise PreconditionError(f"needs exactly {n} arguments")
-    total = Fraction(0)
-    for sign, tup in expand_support_diffs(args):
-        total += sign * mixed_volume(tup)
-    return total
+    signs, tuples = zip(*expand_support_diffs(args))
+    return sum((s * v for s, v in zip(signs, _inclusion_exclusion(tuples))), Fraction(0))

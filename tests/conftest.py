@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,3 +69,25 @@ def leibniz_det(m):
         inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
         total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
     return total
+
+
+def patch_in_afel(monkeypatch, replacements):
+    """Replace each function (a key) by its stand-in (the value) wherever an
+    afel module binds it."""
+    by_id = {id(f): g for f, g in replacements.items()}
+    for name, module in list(sys.modules.items()):
+        if name == "afel" or name.startswith("afel."):
+            for attr, val in list(vars(module).items()):
+                if id(val) in by_id:
+                    monkeypatch.setattr(module, attr, by_id[id(val)])
+
+
+def block_in_afel(monkeypatch, route, funcs):
+    """Make each function raise wherever an afel module binds it, so that
+    any call from `route` fails."""
+    def blocker(name):
+        def raiser(*args, **kwargs):
+            raise RuntimeError(f"{route} called {name}")
+        return raiser
+
+    patch_in_afel(monkeypatch, {f: blocker(f.__name__) for f in funcs})

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,20 +15,25 @@ from afel.afi import (
 )
 from afel.area_measure import ball_support_arcs, mixed_area_diff
 from afel.errors import PreconditionError
+from afel.generators import gen_body, gen_mixed_body
 from afel.geometry import (
     Direction,
     SupportDiff,
     convex_hull,
     hausdorff_distance_sq,
+    minkowski_sum,
     scale_translate,
     segment,
     singleton,
     support_value,
 )
 from afel.linalg import dot, vadd, vscale
-from afel.mixed_volume import mixed_volume
+from afel.mixed_volume import mixed_volume, mixed_volume_interpolated, volume
 
-from conftest import random_body, truncated_cube
+from conftest import block_in_afel, patch_in_afel, random_body, truncated_cube
+
+# the package re-exports the function mixed_volume under the module's name
+mv_module = sys.modules["afel.mixed_volume"]
 
 
 def test_equal_bodies_give_equality(sym_cube):
@@ -243,3 +249,125 @@ def test_flat_bodies_equality_both_routes():
     assert rep.discriminant > 0
     assert equality_by_measure(sq, rect, [cube]) is None
     assert equality_by_support(sq, rect, cube) is None
+
+
+# ---------------------------------------------------------------------------
+# each mixed volume once, in one place
+
+
+def _sym_cube():
+    return convex_hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+
+
+def _equality_triples():
+    """(K, L, C) in R^3 with full-dimensional C: homothets, truncated cubes,
+    random bodies, flat pairs and a point L (the measure route's precondition)."""
+    cube = _sym_cube()
+    sq = convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)])
+    rect = convex_hull([(0, 0, 0), (4, 0, 0), (0, 1, 0), (4, 1, 0)])
+    triples = [(cube, scale_translate(cube, Fraction(7, 2), (1, Fraction(-1, 3), 2)), cube),
+               (sq, scale_translate(sq, Fraction(3, 2), (1, -1, 0)), cube),
+               (sq, rect, cube), (cube, singleton((1, 2, 3)), cube), (cube, cube, cube)]
+    triples += [(cube, truncated_cube(Fraction(d, 64)), cube) for d in (4, 16, 28)]
+    rng = random.Random(1717)
+    triples += [tuple(random_body(rng, 3, full_dim=True) for _ in range(3)) for _ in range(6)]
+    return triples
+
+
+def _outcome(route, *args):
+    """The route's result, or the message of the PreconditionError it raises."""
+    try:
+        return route(*args)
+    except PreconditionError as e:
+        return str(e)
+
+
+def test_equality_routes_call_no_volume_route(monkeypatch):
+    # beforehand: a = V(K,L,C)/V(L,L,C) by inclusion-exclusion where the
+    # discriminant vanishes, and the support route's witness, which must
+    # agree with it; then both routes run with inclusion-exclusion,
+    # interpolation and `volume` raising
+    triples = _equality_triples()
+    expected = []
+    for k, l, c in triples:
+        rep = afi_check(k, l, [c])
+        if rep.v_ll == 0:
+            a = "V(L,L,C) = 0: the degenerate branch applies"
+        else:
+            a = Fraction(rep.v_kl, rep.v_ll) if rep.equality else None
+        witness = _outcome(equality_by_support, k, l, c)
+        if isinstance(a, str):
+            assert witness == "V(K,L,C) > 0 required for the positive branch"
+        else:
+            assert witness is None if a is None else witness[0] == a
+        expected.append((a, witness))
+    assert sum(isinstance(a, Fraction) for a, _ in expected) >= 6
+    assert sum(a is None for a, _ in expected) >= 3
+    block_in_afel(monkeypatch, "an equality route",
+                  (mixed_volume, mv_module._inclusion_exclusion, mixed_volume_interpolated,
+                   volume))
+    with pytest.raises(RuntimeError):
+        afi_check(*triples[0][:2], [triples[0][2]])
+    for (k, l, c), (a, witness) in zip(triples, expected):
+        assert _outcome(equality_by_measure, k, l, [c]) == a
+        assert _outcome(equality_by_support, k, l, c) == witness
+
+
+def test_afi_values_match_the_interpolation_route():
+    # the shared table's three values against the independent route, on the
+    # criterion-3 triples, truncated cubes, and flat or point-holding triples
+    rng = random.Random(103)
+    triples = [tuple(random_body(rng, 3) for _ in range(3)) for _ in range(25)]
+    cube = _sym_cube()
+    triples += [(cube, truncated_cube(Fraction(d, 64)), cube) for d in (4, 16, 28)]
+    sq = convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)])
+    s1, s2 = segment((0, 0, 0), (1, 0, 0)), segment((5, 1, 0), (7, 1, 0))
+    triples += [(s1, s2, sq), (sq, sq, sq), (singleton((1, 2, 3)), cube, cube),
+                (cube, cube, singleton((0, 0, 0))), (sq, s1, cube), (s1, cube, s2)]
+    flat = sum(min(b.dim for b in t) < 3 for t in triples)
+    assert flat >= 10
+    for k, l, c in triples:
+        rep = afi_check(k, l, [c])
+        assert rep.v_kl == mixed_volume_interpolated([k, l, c])
+        assert rep.v_kk == mixed_volume_interpolated([k, k, c])
+        assert rep.v_ll == mixed_volume_interpolated([l, l, c])
+        assert rep.discriminant == rep.v_kl ** 2 - rep.v_kk * rep.v_ll
+
+
+def test_afi_check_hulls_each_distinct_sum_once(monkeypatch):
+    # K+L, K+C, L+C, K+L+C, 2K+C and 2L+C: 2K and 2L are scaled, not hulled
+    rng = random.Random(1718)
+    triples = [tuple(random_body(rng, 3, full_dim=True) for _ in range(3)) for _ in range(8)]
+    cube = _sym_cube()
+    triples += [(cube, truncated_cube(), cube), (cube, cube, cube)]
+    sums = []
+
+    def spy(p, q):
+        sums.append((p, q))
+        return minkowski_sum(p, q)
+
+    patch_in_afel(monkeypatch, {minkowski_sum: spy})
+    for k, l, c in triples:
+        sums.clear()
+        afi_check(k, l, [c])
+        assert len(sums) <= 6
+        assert all(q in (k, l, c) for _, q in sums)
+
+
+def test_support_route_precondition_is_positivity():
+    # gen_mixed_body pairs (half of them L a translate of K, so that parallel
+    # segments occur) against a full-dimensional C: the route refuses
+    # exactly the triples whose mixed volume vanishes
+    outcomes = {True: 0, False: 0}
+    for seed in range(40):
+        k = gen_mixed_body(seed)
+        l = gen_mixed_body(1000 + seed) if seed % 2 else scale_translate(k, 1, (1, 2, -1))
+        c = gen_body(3, 2000 + seed, points=5)
+        positive = mixed_volume([k, l, c]) > 0
+        outcomes[positive] += 1
+        if positive:
+            equality_by_support(k, l, c)
+        else:
+            with pytest.raises(PreconditionError, match="V\\(K,L,C\\) > 0"):
+                equality_by_support(k, l, c)
+    assert min(outcomes.values()) >= 5, outcomes

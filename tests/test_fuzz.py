@@ -1,7 +1,8 @@
-"""Malformed body and measure documents fed to the CLI in process: every one
-must end in exit 1 (malformed input) or 2 (precondition), never in an
-exception.  Each generated document carries at least one break that the
-readers must reject."""
+"""Malformed body and measure documents fed to the CLI in process, the
+Alexandrov-Fenchel decisions included: every one must end in exit 1
+(malformed input) or 2 (precondition), never in an exception.  Each
+generated document carries at least one break that the readers must
+reject."""
 
 import contextlib
 import io
@@ -132,6 +133,12 @@ COMMANDS = {
     "area-measure": (body_docs(), lambda bad, good: ["area-measure", "--bodies", good, bad]),
     "kernel": (body_docs(), lambda bad, good: ["kernel", "--body", bad]),
     "polyoid-body": (measure_docs(), lambda bad, good: ["polyoid", "body", "--measure", bad]),
+    "afi-check": (body_docs(), lambda bad, good: ["afi-check", "--k", good, "--l", good,
+                                                  "--c", bad]),
+    "equality-measure": (body_docs(), lambda bad, good: ["equality", "--route", "measure",
+                                                         "--k", good, "--l", bad, "--c", good]),
+    "equality-support": (body_docs(), lambda bad, good: ["equality", "--route", "support",
+                                                         "--k", bad, "--l", good, "--c", good]),
 }
 
 

@@ -1,7 +1,8 @@
 """Exact elimination against oracles written from the definitions: rank as
 the largest nonvanishing minor (Leibniz determinants), pivot columns as the
 columns where the rank of the column prefix rises, and solutions checked by
-substitution and by the shape of the reduced row echelon form."""
+substitution and by the shape of the reduced row echelon form.  The R^4
+cross product is checked against Leibniz cofactors."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afel.linalg import matrank, pivot_columns, solve_linear
+from afel.linalg import cross4, matrank, pivot_columns, solve_linear
 
 from conftest import leibniz_det
 
@@ -95,3 +96,15 @@ def test_solve_linear_matches_rank_conditions(data):
     for fc, v in zip(free, basis):
         assert apply(rows, v) == [0] * len(rows)
         assert [v[j] for j in free] == [int(j == fc) for j in free]
+
+
+@given(rows=st.lists(st.tuples(ENTRY, ENTRY, ENTRY, ENTRY), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_cross4_is_the_first_row_of_cofactors(rows):
+    # entry i is the (0, i) cofactor of the 4x4 matrix with rows (x, a, b, c),
+    # of the same type (int, or Fraction when a Fraction enters it)
+    got = cross4(*rows)
+    assert len(got) == 4
+    for i, g in enumerate(got):
+        want = (-1) ** i * leibniz_det([[r[j] for j in range(4) if j != i] for r in rows])
+        assert g == want and type(g) is type(want)

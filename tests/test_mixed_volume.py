@@ -27,7 +27,7 @@ from afel.mixed_volume import (
     volume,
 )
 
-from conftest import leibniz_det, random_body
+from conftest import block_in_afel, leibniz_det, patch_in_afel, random_body
 
 # the package re-exports the function mixed_volume under the module's name
 mv_module = sys.modules["afel.mixed_volume"]
@@ -166,22 +166,6 @@ def test_difference_nodes_extract_mixed_coefficient(n, count):
 
 
 
-def block_in_afel(monkeypatch, route, funcs):
-    """Make each function raise wherever an afel module binds it, so that
-    any call from `route` fails."""
-    def blocker(name):
-        def raiser(*args, **kwargs):
-            raise RuntimeError(f"{route} called {name}")
-        return raiser
-
-    blocked = {id(f): blocker(f.__name__) for f in funcs}
-    for name, module in list(sys.modules.items()):
-        if name == "afel" or name.startswith("afel."):
-            for attr, val in list(vars(module).items()):
-                if id(val) in blocked:
-                    monkeypatch.setattr(module, attr, blocked[id(val)])
-
-
 def block_volume_routes(monkeypatch):
     """Block inclusion-exclusion, interpolation and `volume` for the measure
     route."""
@@ -267,3 +251,26 @@ def test_pulling_triangulation_against_volume(n):
         assert all(d != 0 for d in dets)
         assert Fraction(sum(abs(d) for d in dets), math.factorial(n)) == volume(p)
 
+
+def test_pulling_triangulation_fans_facet_cycles_without_a_hull(monkeypatch):
+    # a 3-polytope's facets are fanned over their stored cycles with no
+    # hull; an R^4 body hulls each facet that misses vertex 0 once, in R^3
+    rng = random.Random(1504)
+    solids = [random_body(rng, 3, max_points=10, full_dim=True) for _ in range(6)]
+    solids += [gen_zonotope(3, 5, 4), _box((1, 2, 3))]
+    tope4 = [random_body(rng, 4, max_points=9, full_dim=True) for _ in range(2)]
+    tope4 += [gen_zonotope(4, 5, 5), _box((1, 2, 3, 4))]
+    hulls = []
+
+    def spy(points):
+        hulls.append(points)
+        return convex_hull(points)
+
+    patch_in_afel(monkeypatch, {convex_hull: spy})
+    for p in solids:
+        assert mv_module._pulling_triangulation(p)
+    assert hulls == []
+    for p in tope4:
+        hulls.clear()
+        mv_module._pulling_triangulation(p)
+        assert len(hulls) == sum(0 not in f.vertex_ids for f in p.facets)
