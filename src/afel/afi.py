@@ -23,7 +23,7 @@ from .criticality import classify
 from .errors import PreconditionError, TheoryViolationError
 from .geometry import Direction, SupportDiff, VPolytope, scale_translate
 from .linalg import dot, min_norm_solution, primitive, solve_linear, vsub
-from .mixed_volume import _check_tuple, _inclusion_exclusion, mixed_volume, mixed_volume_diff
+from .mixed_volume import _check_tuple, _diff_terms, _inclusion_exclusion
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,22 @@ class AFIReport:
     witness: Optional[tuple[Fraction, tuple]]  # (a, x) when the support route applies
 
 
-def afi_check(k: VPolytope, l: VPolytope, c_tuple: Sequence[VPolytope]) -> AFIReport:
-    """Exact discriminant V(K,L,C)^2 - V(K,K,C) V(L,L,C) with equality flag."""
-    c = list(c_tuple)
+def _afi_values(k: VPolytope, l: VPolytope,
+                c: list[VPolytope]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """V(K,L,C), V(K,K,C), V(L,L,C) from one inclusion-exclusion table, and
+    the discriminant, which must not be negative."""
     v_kl, v_kk, v_ll = _inclusion_exclusion([[k, l] + c, [k, k] + c, [l, l] + c])
     disc = v_kl * v_kl - v_kk * v_ll
     if disc < 0:
         raise TheoryViolationError(
             f"negative Alexandrov-Fenchel discriminant {disc}")
+    return v_kl, v_kk, v_ll, disc
+
+
+def afi_check(k: VPolytope, l: VPolytope, c_tuple: Sequence[VPolytope]) -> AFIReport:
+    """Exact discriminant V(K,L,C)^2 - V(K,K,C) V(L,L,C) with equality flag."""
+    c = list(c_tuple)
+    v_kl, v_kk, v_ll, disc = _afi_values(k, l, c)
     equality = disc == 0
     branch = "degenerate" if v_kl == 0 else "positive"
     witness = None
@@ -57,12 +65,14 @@ def afi_check(k: VPolytope, l: VPolytope, c_tuple: Sequence[VPolytope]) -> AFIRe
 def gafi_check(k1: VPolytope, k2: VPolytope, l: VPolytope,
                c_tuple: Sequence[VPolytope]) -> Fraction:
     """LHS - RHS of the generalized inequality for f = h_K1 - h_K2;
-    nonnegative for convex bodies."""
+    nonnegative for convex bodies.  V(f,L,C), V(f,f,C) and V(L,L,C) come
+    from one inclusion-exclusion table over their expanded tuples."""
     c = list(c_tuple)
     f = SupportDiff(k1, k2)
-    lhs = mixed_volume_diff([f, l] + c) ** 2
-    rhs = mixed_volume_diff([f, f] + c) * mixed_volume([l, l] + c)
-    gap = lhs - rhs
+    groups = [_diff_terms([f, l] + c), _diff_terms([f, f] + c), [(1, [l, l] + c)]]
+    values = iter(_inclusion_exclusion([t for g in groups for _, t in g]))
+    v_fl, v_ff, v_ll = (sum((s * next(values) for s, _ in g), Fraction(0)) for g in groups)
+    gap = v_fl ** 2 - v_ff * v_ll
     if gap < 0:
         raise TheoryViolationError(f"negative GAFI gap {gap}")
     return gap
@@ -253,8 +263,8 @@ def degenerate_branch(k: VPolytope, l: VPolytope,
                       c_tuple: Sequence[VPolytope]) -> DegenerateReport:
     """Branch (a): V(K,L,C) = 0 forces equality in the inequality and
     homothety of K and L (for supercritical C)."""
-    rep = afi_check(k, l, c_tuple)  # it raises on a negative discriminant
-    if rep.branch != "degenerate":
+    v_kl, _, _, disc = _afi_values(k, l, list(c_tuple))
+    if v_kl != 0:
         raise PreconditionError("degenerate branch requires V(K,L,C) = 0")
     hom, witness = is_homothetic(k, l)
-    return DegenerateReport(rep.discriminant, hom, witness)
+    return DegenerateReport(disc, hom, witness)

@@ -4,17 +4,33 @@ For polytopes the mixed area measure is atomic.  Atoms are stored with
 rationalized weights: the measure of the unit direction z/|z| is w(z)*|z|,
 so that integrals of support functions against the measure stay rational.
 
-The weight at a facet normal z of K_1 + ... + K_{n-1} is the (n-1)-dim mixed
-volume of the summand faces F(K_i, z): the same measure integral one
-dimension lower, down to the 2D width, so no mixed-volume route or `volume`
-is called.  The summand faces are read off the vertex tags of the sum
-(`minkowski_sum_tagged`): F(K_1 + ... + K_{n-1}, z) is the sum of the
-F(K_i, z), so body i's face is the hull of the i-th tags of the facet's
-vertices, and no body is scanned again.  When some F(K_i, z) is a single
-vertex the weight is exactly 0, because a mixed volume with a point argument
-vanishes (it is translation invariant and homogeneous in each argument), so
-that facet is skipped without a hull.  For a flat tuple every body is its
-own face in both normals of the hyperplane.
+The weight at a direction z is the (n-1)-dim mixed volume of the summand
+faces F(K_i, z) (`_face_weight`): the same measure integral one dimension
+lower, down to the 2D width, so no mixed-volume route or `volume` is called.
+When some F(K_i, z) is a single vertex the weight is exactly 0, because a
+mixed volume with a point argument vanishes (it is translation invariant
+and homogeneous in each argument), so that direction is skipped.
+
+The atoms and their faces are found on one of two paths.
+
+- Two full-dimensional bodies in R^3: the overlay of their Gauss maps
+  (Fogel and Halperin, Computer-Aided Design 39, 2007), restricted to what
+  the measure reads, with no Minkowski sum (`_gauss_overlay`).  An atom
+  sits only where F(K, z) + F(C, z) is 2-dimensional: at a facet normal of
+  K or of C, where the faces are that facet and the other body's face; or
+  where an edge arc of K's Gauss map crosses one of C's in both relative
+  interiors, where the faces are the two edges.  Arcs on one great circle
+  meet only at facet normals.
+- Every other tuple (a flat body, a segment or a point in R^3, and every
+  tuple in R^2 and R^4): the facets of the sum K_1 + ... + K_{n-1}, whose
+  summand faces are read off its vertex tags (`minkowski_sum_tagged`):
+  F(K_1 + ... + K_{n-1}, z) is the sum of the F(K_i, z), so body i's face
+  is the hull of the i-th tags of the facet's vertices, and no body is
+  scanned again.  For a flat tuple every body is its own face in both
+  normals of the hyperplane.  The overlay needs both Gauss maps to be
+  full-dimensional: a flat body's Gauss map is not cut into facet normals
+  and edge arcs, and in R^4 the Gauss maps of the three summands are
+  overlaid in the 3-sphere, which this module does not do.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ from .geometry import (
     VPolytope,
     Vec,
     convex_hull,
+    _integerize,
     expand_support_diffs,
     minkowski_sum_tagged,
     support_value,
@@ -110,6 +127,8 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
         raise PreconditionError("ambient dimension mismatch")
     if len(bodies) != n - 1:
         raise PreconditionError(f"mixed area measure in R^{n} needs {n - 1} bodies")
+    if n == 3 and all(b.dim == 3 for b in bodies):
+        return _gauss_overlay(*bodies)
     total, tags = minkowski_sum_tagged(bodies)
     atoms: dict[Direction, Fraction] = {}
     if total.dim == n:
@@ -128,6 +147,48 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
             w = _face_weight(faces, z)
             if w != 0:
                 atoms[z] = w
+    return AtomicMeasure(atoms)
+
+
+def _gauss_overlay(k: VPolytope, c: VPolytope) -> AtomicMeasure:
+    """S(K, C, .) for two full-dimensional 3-polytopes from the facet normals
+    and edge arcs of their Gauss maps (module docstring).  A face that is not
+    a facet or an edge is found by a scan of integer vertex copies."""
+    bodies = (k, c)
+    ints = [_integerize(list(b.vertices))[0] for b in bodies]
+
+    def face(i: int, z: Direction) -> list[Vec]:
+        vals = [dot(v, z.z) for v in ints[i]]
+        h = max(vals)
+        return [bodies[i].vertices[j] for j, x in enumerate(vals) if x == h]
+
+    atoms: dict[Direction, Fraction] = {}
+    for i, b in enumerate(bodies):
+        for f in b.facets:
+            z = f.normal
+            if z in atoms:
+                continue  # a facet normal of both bodies
+            other = face(1 - i, z)
+            if len(other) == 1:
+                continue
+            facet = [b.vertices[v] for v in f.vertex_ids]
+            atoms[z] = _face_weight([facet, other] if i == 0 else [other, facet], z)
+    arcs_k, arcs_c = ([(_arc(z1.z, z2.z), [b.vertices[v] for v in e.vertex_ids])
+                       for (z1, z2), e in zip(ball_support_arcs(b).arcs, b.edges)]
+                      for b in bodies)
+    for arc_e, edge_e in arcs_k:
+        for arc_f, edge_f in arcs_c:
+            x = cross3(arc_e[0], arc_f[0])
+            if not any(x):
+                continue  # one great circle: the arcs meet only at facet normals
+            if not _in_arc(x, arc_e, strict=True):
+                x = (-x[0], -x[1], -x[2])
+                if not _in_arc(x, arc_e, strict=True):
+                    continue
+            # at an arc end the face is a facet, counted above
+            if _in_arc(x, arc_f, strict=True):
+                z = Direction(primitive(x))
+                atoms[z] = _face_weight([edge_e, edge_f], z)
     return AtomicMeasure(atoms)
 
 
@@ -167,15 +228,28 @@ class ArcSupport:
 
     def contains(self, u: Direction) -> bool:
         """Exact membership: u in pos{z1, z2} for some arc."""
-        # with N = z1 x z2 and u = a*z1 + b*z2: z1 x u = b*N and u x z2 = a*N
         for z1, z2 in self.arcs:
-            normal = cross3(z1.z, z2.z)
-            if not any(normal):
-                raise TheoryViolationError("arc ends are not independent")
-            if (dot(u.z, normal) == 0 and dot(cross3(z1.z, u.z), normal) >= 0
-                    and dot(cross3(u.z, z2.z), normal) >= 0):
+            arc = _arc(z1.z, z2.z)
+            if dot(u.z, arc[0]) == 0 and _in_arc(u.z, arc):
                 return True
         return False
+
+
+def _arc(z1: Vec, z2: Vec) -> tuple[Vec, Vec, Vec]:
+    """The geodesic arc pos{z1, z2} of two independent integer directions,
+    as (N, z2 x N, N x z1) with N = z1 x z2, its plane's normal."""
+    normal = cross3(z1, z2)
+    if not any(normal):
+        raise TheoryViolationError("arc ends are not independent")
+    return normal, cross3(z2, normal), cross3(normal, z1)
+
+
+def _in_arc(u: Vec, arc: tuple[Vec, Vec, Vec], strict: bool = False) -> bool:
+    """u in pos{z1, z2}, for an integer u in the arc's plane; strict: in its
+    relative interior, not at an end.  With u = a*z1 + b*z2,
+    <u, z2 x N> = a*|N|^2 and <u, N x z1> = b*|N|^2."""
+    a, b = dot(u, arc[1]), dot(u, arc[2])
+    return a > 0 and b > 0 if strict else a >= 0 and b >= 0
 
 
 def ball_support_arcs(c: VPolytope) -> ArcSupport:

@@ -179,13 +179,19 @@ def mixed_volume_via_measure(bodies: Sequence[VPolytope]) -> Fraction:
     return Fraction(mixed_area_measure(bodies[:-1]).integrate_support(bodies[-1]), n)
 
 
-def mixed_volume_diff(args: Sequence[DiffArg]) -> Fraction:
-    """Multilinear extension of the mixed volume to differences of support
-    functions, expanded over the plus/minus parts."""
+def _diff_terms(args: Sequence[DiffArg]) -> list[tuple[int, list[VPolytope]]]:
+    """The (sign, bodies) terms of `expand_support_diffs`, for n arguments
+    in R^n."""
     if not args:
         raise PreconditionError("empty argument tuple")
     n = args[0].n
     if len(args) != n:
         raise PreconditionError(f"needs exactly {n} arguments")
-    signs, tuples = zip(*expand_support_diffs(args))
+    return list(expand_support_diffs(args))
+
+
+def mixed_volume_diff(args: Sequence[DiffArg]) -> Fraction:
+    """Multilinear extension of the mixed volume to differences of support
+    functions, expanded over the plus/minus parts."""
+    signs, tuples = zip(*_diff_terms(args))
     return sum((s * v for s, v in zip(signs, _inclusion_exclusion(tuples))), Fraction(0))

@@ -14,7 +14,7 @@ from afel.afi import (
     linearity_equivalence,
 )
 from afel.area_measure import ball_support_arcs, mixed_area_diff
-from afel.errors import PreconditionError
+from afel.errors import PreconditionError, TheoryViolationError
 from afel.generators import gen_body, gen_mixed_body
 from afel.geometry import (
     Direction,
@@ -28,7 +28,7 @@ from afel.geometry import (
     support_value,
 )
 from afel.linalg import dot, vadd, vscale
-from afel.mixed_volume import mixed_volume, mixed_volume_interpolated, volume
+from afel.mixed_volume import mixed_volume, mixed_volume_diff, mixed_volume_interpolated, volume
 
 from conftest import block_in_afel, patch_in_afel, random_body, truncated_cube
 
@@ -118,6 +118,32 @@ def test_gafi_nonnegative_random():
         assert gafi_check(k1, k2, l, [c]) >= 0
 
 
+def test_gafi_check_hulls_each_distinct_sum_once(monkeypatch):
+    # its 7 expanded tuples over {K1, K2, L, C} share one table: the pair
+    # sums K1+K2, K1+L, K1+C, K2+L, K2+C, L+C and the triple sums K1+L+C,
+    # K2+L+C, 2K1+C, K1+K2+C, 2K2+C, 2L+C; 2K1, 2K2 and 2L are scaled
+    rng = random.Random(321)
+    quads = [tuple(random_body(rng, 3) for _ in range(3)) + (random_body(rng, 3, full_dim=True),)
+             for _ in range(5)]
+    expected = []
+    for k1, k2, l, c in quads:
+        f = SupportDiff(k1, k2)
+        expected.append(mixed_volume_diff([f, l, c]) ** 2
+                        - mixed_volume_diff([f, f, c]) * mixed_volume([l, l, c]))
+    sums = []
+
+    def spy(p, q):
+        sums.append((p, q))
+        return minkowski_sum(p, q)
+
+    patch_in_afel(monkeypatch, {minkowski_sum: spy})
+    for (k1, k2, l, c), gap in zip(quads, expected):
+        sums.clear()
+        assert gafi_check(k1, k2, l, [c]) == gap
+        assert len(sums) == 12
+        assert all(q in (k1, k2, l, c) for _, q in sums)
+
+
 def test_witness_validity_on_arc_sample(sym_cube):
     l = truncated_cube()
     a, x = equality_by_support(sym_cube, l, sym_cube)
@@ -188,6 +214,29 @@ def test_degenerate_branch():
     cube = convex_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     with pytest.raises(PreconditionError):
         degenerate_branch(cube, cube, [cube])
+
+
+def test_degenerate_branch_refuses_before_any_witness(monkeypatch, sym_cube):
+    # a positive equality triple: afi_check solves for the support witness,
+    # degenerate_branch refuses from the three values alone
+    witnesses = []
+
+    def spy(*args):
+        witnesses.append(args)
+        return equality_by_support(*args)
+
+    patch_in_afel(monkeypatch, {equality_by_support: spy})
+    with pytest.raises(PreconditionError, match="degenerate branch requires V\\(K,L,C\\) = 0"):
+        degenerate_branch(sym_cube, sym_cube, [sym_cube])
+    assert not witnesses
+    assert afi_check(sym_cube, sym_cube, [sym_cube]).witness is not None
+    assert len(witnesses) == 1
+    # a negative discriminant is reported before the branch is checked
+    monkeypatch.setattr(sys.modules["afel.afi"], "_inclusion_exclusion",
+                        lambda tuples: [Fraction(1), Fraction(2), Fraction(3)])
+    for entry in (afi_check, degenerate_branch):
+        with pytest.raises(TheoryViolationError, match="negative Alexandrov-Fenchel"):
+            entry(sym_cube, sym_cube, [sym_cube])
 
 
 def _random_box(rng):

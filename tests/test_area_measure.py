@@ -17,17 +17,22 @@ from afel.area_measure import (
     significant_atoms,
 )
 from afel.errors import PreconditionError, TheoryViolationError
+from afel.generators import gen_zonotope
 from afel.geometry import (
     Direction,
     SupportDiff,
     convex_hull,
+    minkowski_sum,
+    minkowski_sum_tagged,
     scale_translate,
     segment,
     singleton,
+    support_set,
 )
+from afel.linalg import cross3, vadd, vsub
 from afel.mixed_volume import mixed_volume
 
-from conftest import random_body
+from conftest import block_in_afel, patch_in_afel, random_body, truncated_cube
 
 
 def test_cube_surface_measure(unit_cube):
@@ -210,3 +215,159 @@ def test_ball_polytope_is_built_once_per_size(monkeypatch):
     ball_polytope.cache_clear()
     assert ball_polytope(40) == first
     assert len(first.facets) >= 40
+
+
+# ------------------------------------------ the Gauss-map overlay in R^3
+
+
+def _sum_hull_measure(k, c):
+    """S(K, C, .) from the hull of all vertex sums: faces by `support_set`,
+    each weight the 2D mixed volume (inclusion-exclusion) of the two faces
+    projected by dropping the first coordinate j with z_j != 0, over |z_j|."""
+    total = convex_hull([vadd(v, w) for v in k.vertices for w in c.vertices])
+    atoms = {}
+    for f in total.facets:
+        z = f.normal
+        j = next(i for i, x in enumerate(z.z) if x)
+        faces = [convex_hull([v[:j] + v[j + 1:] for v in support_set(b, z).vertices])
+                 for b in (k, c)]
+        w = Fraction(mixed_volume(faces), abs(z.z[j]))
+        if w:
+            atoms[z] = w
+    return atoms
+
+
+def _cone_coords(u, a, b):
+    """(alpha, beta) with u = alpha*a + beta*b, for u in span(a, b), by
+    Cramer's rule on two coordinates."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = a[i] * b[j] - a[j] * b[i]
+        if det:
+            return (Fraction(u[i] * b[j] - u[j] * b[i], det),
+                    Fraction(a[i] * u[j] - a[j] * u[i], det))
+    raise AssertionError("dependent arc ends")
+
+
+def _edge_arcs(p):
+    return [(p.facets[e.facet_ids[0]].normal.z, p.facets[e.facet_ids[1]].normal.z)
+            for e in p.edges]
+
+
+def _features(k, c):
+    """What makes a pair hard for the overlay, found by brute force."""
+    found = set()
+    normals = {f.normal for f in k.facets}
+    if normals & {f.normal for f in c.facets}:
+        found.add("shared normal")
+    dirs = [{Direction.of(vsub(p.vertices[j], p.vertices[i])) for i, j in
+             (e.vertex_ids for e in p.edges)} for p in (k, c)]
+    if dirs[0] & (dirs[1] | {-d for d in dirs[1]}):
+        found.add("parallel edges")
+    for a1, a2 in _edge_arcs(k):
+        for b1, b2 in _edge_arcs(c):
+            x = cross3(cross3(a1, a2), cross3(b1, b2))
+            if not any(x):
+                continue
+            for u in (x, tuple(-t for t in x)):
+                ca, cb = _cone_coords(u, a1, a2), _cone_coords(u, b1, b2)
+                if min(ca + cb) < 0:
+                    continue
+                found.add("crossing at an arc end" if 0 in ca + cb else "interior crossing")
+    coords = [x for p in (k, c) for v in p.vertices for x in v]
+    if any(Fraction(x).denominator > 10 ** 6 for x in coords):
+        found.add("large denominator")
+    if any(abs(x) > 2 ** 64 for x in coords):
+        found.add("beyond 2^64")
+    return found
+
+
+def _overlay_cases():
+    """Seeded full-dimensional pairs in R^3, each as (family, K, C)."""
+    rng = random.Random(1818)
+    cube = convex_hull(itertools.product((-1, 1), repeat=3))
+    cases = [("random", random_body(rng, 3, 7, full_dim=True),
+              random_body(rng, 3, 7, full_dim=True)) for _ in range(12)]
+    for d in (Fraction(1, 4), Fraction(1, 2), Fraction(5, 16)):
+        cases += [("truncated cube", cube, truncated_cube(d)),
+                  ("truncated cube", truncated_cube(d), cube)]
+    for seed in range(4):
+        z = gen_zonotope(3, 3, seed)
+        b = random_body(rng, 3, full_dim=True)
+        cases += [("zonotope sum", z, minkowski_sum(z, b)),
+                  ("zonotope sum", minkowski_sum(z, b), b)]
+    for _ in range(3):
+        k = random_body(rng, 3, 7, full_dim=True)
+        x = tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3))
+        cases += [("homothetic", k, k), ("homothetic", k, scale_translate(k, 2, x))]
+    for _ in range(3):
+        dens = [rng.randrange(10 ** 9, 10 ** 10) for _ in range(3)]
+        pts = [tuple(Fraction(rng.randrange(-4 * q, 4 * q), q) for q in dens) for _ in range(7)]
+        cases.append(("rational", convex_hull(pts), random_body(rng, 3, full_dim=True)))
+    for _ in range(3):
+        big = convex_hull([tuple(rng.randrange(-2 ** 70, 2 ** 70) for _ in range(3))
+                           for _ in range(7)])
+        far = scale_translate(random_body(rng, 3, full_dim=True), 2 ** 66 + 1, (2 ** 65, -3, 7))
+        cases.append(("huge", big, far))
+    cases.append(("ball", ball_polytope(50), cube))
+    return cases
+
+
+def test_overlay_matches_the_sum_hull():
+    """The overlay's measure equals, exactly, the one read off the hull of
+    all vertex sums; every family and every hard feature is reached."""
+    families, features = {}, {}
+    for family, k, c in _overlay_cases():
+        assert k.dim == c.dim == 3
+        m = mixed_area_measure([k, c])
+        assert m.atoms == _sum_hull_measure(k, c), family
+        assert mixed_area_measure([c, k]) == m
+        families[family] = families.get(family, 0) + 1
+        for feature in _features(k, c):
+            features[feature] = features.get(feature, 0) + 1
+    assert families == {"random": 12, "truncated cube": 6, "zonotope sum": 8,
+                        "homothetic": 6, "rational": 3, "huge": 3, "ball": 1}
+    # zonotope sums refine their summand's fan, so their arcs cross only at
+    # arc ends; the ball(50) meets the cube's arcs at its facet normals
+    assert features == {"shared normal": 21, "parallel edges": 27, "interior crossing": 18,
+                        "crossing at an arc end": 27, "large denominator": 3,
+                        "beyond 2^64": 3}
+
+
+def test_overlay_integrates_to_mixed_volume():
+    """int h_M dS(K, C, .) = 3 V(K, C, M) by inclusion-exclusion, for
+    random probes M, flat or not."""
+    rng = random.Random(1819)
+    for family, k, c in _overlay_cases():
+        if family == "ball":
+            continue
+        probe = random_body(rng, 3)
+        assert mixed_area_measure([k, c]).integrate_support(probe) == 3 * mixed_volume([k, c, probe])
+
+
+def test_overlay_hulls_no_sum(monkeypatch, sym_cube):
+    """A full-dimensional pair in R^3 forms no Minkowski sum and hulls no
+    point of R^3: the only hulls left are the projected faces of
+    `_face_weight`, in R^2."""
+    rng = random.Random(1820)
+    pairs = [(sym_cube, truncated_cube()), (ball_polytope(50), sym_cube)]
+    pairs += [(random_body(rng, 3, 7, full_dim=True), random_body(rng, 3, 7, full_dim=True))
+              for _ in range(4)]
+    expected = [mixed_area_measure(p) for p in pairs]
+    hulls, sums = [], []
+
+    def hull_spy(points):
+        points = list(points)
+        hulls.append(len(points[0]))
+        return convex_hull(points)
+
+    def sum_spy(bodies):
+        sums.append([b.n for b in bodies])
+        return minkowski_sum_tagged(bodies)
+
+    patch_in_afel(monkeypatch, {convex_hull: hull_spy, minkowski_sum_tagged: sum_spy})
+    block_in_afel(monkeypatch, "the overlay", (minkowski_sum,))
+    for p, m in zip(pairs, expected):
+        assert mixed_area_measure(p) == m
+    assert hulls and set(hulls) == {2}
+    # a one-polygon "sum" in R^2 inside `_face_weight` hulls nothing
+    assert sums and all(s == [2] for s in sums)

@@ -1,5 +1,6 @@
 """Malformed body and measure documents fed to the CLI in process, the
-Alexandrov-Fenchel decisions included: every one must end in exit 1
+Alexandrov-Fenchel decisions, `linearity`, `ball-support` and `criticality`
+included: every one must end in exit 1
 (malformed input) or 2 (precondition), never in an exception.  Each
 generated document carries at least one break that the readers must
 reject."""
@@ -139,6 +140,14 @@ COMMANDS = {
                                                          "--k", good, "--l", bad, "--c", good]),
     "equality-support": (body_docs(), lambda bad, good: ["equality", "--route", "support",
                                                          "--k", bad, "--l", good, "--c", good]),
+    "linearity-plus": (body_docs(), lambda bad, good: ["linearity", "--plus", bad,
+                                                       "--minus", good, "--c", good]),
+    "linearity-minus": (body_docs(), lambda bad, good: ["linearity", "--plus", good,
+                                                        "--minus", bad, "--c", good]),
+    "linearity-c": (body_docs(), lambda bad, good: ["linearity", "--plus", good,
+                                                    "--minus", good, "--c", bad]),
+    "ball-support": (body_docs(), lambda bad, good: ["ball-support", "--body", bad]),
+    "criticality": (body_docs(), lambda bad, good: ["criticality", "--bodies", good, bad, good]),
 }
 
 
