@@ -49,12 +49,11 @@ from .geometry import (
     VPolytope,
     Vec,
     convex_hull,
-    _integerize,
     expand_support_diffs,
     minkowski_sum_tagged,
     support_value,
 )
-from .linalg import cross3, cross4, dot, pivot_columns, primitive, vsub
+from .linalg import cross3, cross4, dot, integerize, pivot_columns, primitive, vsub
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ def _gauss_overlay(k: VPolytope, c: VPolytope) -> AtomicMeasure:
     and edge arcs of their Gauss maps (module docstring).  A face that is not
     a facet or an edge is found by a scan of integer vertex copies."""
     bodies = (k, c)
-    ints = [_integerize(list(b.vertices))[0] for b in bodies]
+    ints = [integerize(b.vertices)[0] for b in bodies]
 
     def face(i: int, z: Direction) -> list[Vec]:
         vals = [dot(v, z.z) for v in ints[i]]

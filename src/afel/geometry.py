@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from math import gcd as _gcd
-
 from . import hull as _hull
 from .errors import PreconditionError, TheoryViolationError
 from .linalg import (
     dot,
+    integerize,
     matrank,
     norm_sq,
     num,
@@ -108,18 +107,6 @@ class VPolytope:
         return f"VPolytope(n={self.n}, dim={self.dim}, vertices={len(self.vertices)})"
 
 
-def _integerize(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    """Common-denominator integer copies of the points, plus the scale."""
-    den = 1
-    for p in points:
-        for c in p:
-            if not isinstance(c, int):
-                den = den * c.denominator // _gcd(den, c.denominator)
-    if den == 1:
-        return [tuple(p) for p in points], 1
-    return [tuple(int(c * den) for c in p) for p in points], den
-
-
 def convex_hull(points: Iterable[Sequence]) -> VPolytope:
     """Hull of a nonempty point set; lower-dimensional inputs are fine.
 
@@ -157,7 +144,7 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
             k = cycle.index(min(cycle))
             cycle = cycle[k:] + cycle[:k]
         return VPolytope(n, dim, verts, cycle=cycle)
-    ints, den = _integerize(pts)
+    ints, den = integerize(pts)
     h = _hull.hull_structure(ints, n)
     keep = list(h.vertex_ids)
     remap = {old: new for new, old in enumerate(keep)}

@@ -9,44 +9,16 @@ supporting hyperplane; its vertex set and ridges come from a recursive
 (d-1)-dimensional hull of those points.
 
 Outputs are combinatorial: indices into the input point list.
-
-In R^3, inputs of more than `_THROWAWAY_MIN` points first pass the
-interior-point throw-away of Akl and Toussaint (Inf. Proc. Lett. 7, 1978):
-the extreme input points in the 26 nonzero directions of {-1,0,1}^3 (ties
-to the lowest index) are wrapped, every point strictly inside all facets of
-that inner hull is dropped, and the rest are wrapped and mapped back to the
-caller's indices.  This is exact, not a heuristic: a dropped point lies
-strictly inside the hull of kept input points, so it is no vertex and lies
-on no supporting plane (no facet plane, none of the planes
-`_initial_facet` pivots to), and the wrap of the kept points, which keep
-their relative order, finds the same facets, cycles and ridges in the same
-order.  When the extremes do not affinely span R^3 (all but a few points on
-one plane, say) the throw-away is skipped.
-
-The inner hull costs a few milliseconds whatever the input, while a wrap
-costs about (facets x points), so the throw-away waits for more than
-`_THROWAWAY_MIN` points.  It halves the wraps of the 1600 and 2800
-candidates of ball-approximation sums (keeping about 40% and 30% of them),
-but made wraps of 65 to 217 candidates with few facets, and of 128 or 200
-points that are all vertices, slower by 1 to 10 ms each.  It is not used in
-R^4: on 432 sum candidates there, the hull of their 61 distinct extremes in
-the 80 directions of {-1,0,1}^4 took as long as the plain wrap of all 432,
-and the wrap of the 225 points kept was no faster than that plain wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .errors import TheoryViolationError
-from .linalg import cross3, cross4, dot, matrank, primitive, vsub
-
-_THROWAWAY_MIN = 256  # 3D inputs up to this size are wrapped whole (module docstring)
-# one of each pair +-u of nonzero directions in {-1,0,1}^3: first nonzero entry 1
-_THROWAWAY_DIRS = tuple(u for u in product((-1, 0, 1), repeat=3) if u > (0, 0, 0))
+from .linalg import cross3, cross4, dot, primitive, vsub
 
 
 @dataclass(frozen=True)
@@ -76,32 +48,9 @@ class HullResult:
 def hull_structure(points: list[tuple[int, ...]], d: int) -> HullResult:
     if d == 2:
         return _hull_2d(points)
-    if d == 3 and len(points) > _THROWAWAY_MIN:
-        return _wrap_after_throwaway(points)
     if d in (3, 4):
         return _wrap(points, d)
     raise ValueError(f"unsupported hull dimension {d}")
-
-
-def _wrap_after_throwaway(points) -> HullResult:
-    """The 3D wrap of `points`, with the points strictly inside the hull of
-    their 26 directional extremes dropped first (module docstring)."""
-    n_pts = len(points)
-    extremes = set()
-    for u in _THROWAWAY_DIRS:
-        heights = [dot(p, u) for p in points]
-        extremes.add(max(range(n_pts), key=heights.__getitem__))  # first maximum
-        extremes.add(min(range(n_pts), key=heights.__getitem__))  # first minimum
-    inner = [points[i] for i in sorted(extremes)]
-    if matrank([vsub(p, inner[0]) for p in inner[1:]]) < 3:
-        return _wrap(points, 3)
-    cuts = [(f.normal, f.offset) for f in _wrap(inner, 3).facets]
-    kept = [i for i, p in enumerate(points) if any(dot(p, z) >= h for z, h in cuts)]
-    h = _wrap([points[i] for i in kept], 3)
-    facets = tuple(RawFacet(f.normal, f.offset, tuple(kept[i] for i in f.points),
-                            f.drop, f.proj_volume) for f in h.facets)
-    ridges = tuple(Ridge(tuple(kept[i] for i in r.points), r.facets) for r in h.ridges)
-    return HullResult(3, tuple(kept[i] for i in h.vertex_ids), facets, ridges)
 
 
 def _hull_2d(points) -> HullResult:

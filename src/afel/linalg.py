@@ -92,16 +92,22 @@ def num(x):
     return f.numerator if f.denominator == 1 else f
 
 
+def integerize(points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """Integer copies of rational points scaled by their common denominator,
+    plus that denominator."""
+    den = 1
+    for p in points:
+        for x in p:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+    if den == 1:
+        return [tuple(x.numerator for x in p) for p in points], 1
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
+
+
 def primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, preserving sign."""
-    if all(isinstance(x, int) for x in v):
-        ints = list(v)
-    else:
-        fracs = [Fraction(x) for x in v]
-        den = 1
-        for x in fracs:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in fracs]
+    (ints,), _ = integerize((v,))
     g = 0
     for x in ints:
         g = gcd(g, x)
@@ -110,7 +116,7 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def eliminate(row: list[int], piv: Sequence[int], col: int) -> list[int]:
+def eliminate(row: Sequence[int], piv: Sequence[int], col: int) -> list[int]:
     """Clear column col of an integer row with a pivot row, fraction-free:
     p*row - c*piv, divided by its content."""
     c, p = row[col], piv[col]
@@ -121,19 +127,14 @@ def eliminate(row: list[int], piv: Sequence[int], col: int) -> list[int]:
     return row
 
 
-def _echelon(rows: Sequence[Vec]) -> list[tuple[int, list[int]]]:
+def _echelon(rows: Sequence[Vec]) -> list[tuple[int, Sequence[int]]]:
     """Integer echelon rows of span(rows) as (pivot column, row) pairs, in
     column order.  Each row, scaled to integers by its common denominator,
     is cleared at the pivots found so far, in the order found (a pivot row
     is zero at every earlier pivot); a nonzero rest leads a new pivot."""
-    pivots: list[tuple[int, list[int]]] = []
+    pivots: list[tuple[int, Sequence[int]]] = []
     for r in rows:
-        den = 1
-        for x in r:
-            if type(x) is not int:
-                den = lcm(den, x.denominator)
-        row = [x * den if type(x) is int else x.numerator * (den // x.denominator)
-               for x in r]
+        (row,), _ = integerize((r,))
         for col, piv in pivots:
             if row[col]:
                 row = eliminate(row, piv, col)

@@ -34,7 +34,6 @@ from .errors import PreconditionError
 from .geometry import (
     DiffArg,
     VPolytope,
-    _integerize,
     convex_hull,
     expand_support_diffs,
     minkowski_sum,
@@ -42,7 +41,7 @@ from .geometry import (
     scale_translate,
 )
 from .hull import _shoelace, divergence_volume
-from .linalg import cross3, cross4, dot, vsub
+from .linalg import cross3, cross4, dot, integerize, vsub
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -161,7 +160,7 @@ def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
     if total.dim < n:
         return Fraction(0)  # every node's sum is flat
     simplices = _pulling_triangulation(total)
-    ints, den = _integerize([v for b in bodies for v in b.vertices])
+    ints, den = integerize([v for b in bodies for v in b.vertices])
     stream = iter(ints)
     coords = [[next(stream) for _ in b.vertices] for b in bodies]
     acc = 0

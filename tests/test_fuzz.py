@@ -1,14 +1,15 @@
-"""Malformed body and measure documents fed to the CLI in process, the
-Alexandrov-Fenchel decisions, `linearity`, `ball-support` and `criticality`
-included: every one must end in exit 1
-(malformed input) or 2 (precondition), never in an exception.  Each
-generated document carries at least one break that the readers must
-reject."""
+"""Malformed body and measure documents fed to every document-reading
+subcommand of the CLI in process: every one must end in exit 1 (malformed
+input) or 2 (precondition), never in an exception.  Each generated document
+carries at least one break that the readers must reject.  Small and
+out-of-range integer arguments of `gen` must end in a report (exit 0) or an
+input error (exit 1)."""
 
 import contextlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -90,11 +91,13 @@ def body_docs(draw):
 
 
 GOOD_BODY = {"dim": 3, "vertices": BASE_POINTS}
+GOOD_MEASURE = {"atoms": [{"weight": "1/2", "polytope": GOOD_BODY},
+                          {"weight": "1/2", "polytope": GOOD_BODY}]}
 
 
 @st.composite
 def measure_docs(draw):
-    atoms = [{"weight": "1/2", "polytope": GOOD_BODY}, {"weight": "1/2", "polytope": GOOD_BODY}]
+    atoms = list(GOOD_MEASURE["atoms"])
     doc = {"atoms": atoms}
     kind = draw(st.sampled_from(["document", "atoms", "atom", "weight", "polytope"]))
     if kind == "document":
@@ -129,6 +132,11 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _measure_path(good_body_path):
+    """The well-formed measure document written beside the good body."""
+    return str(Path(good_body_path).with_name("measure.json"))
+
+
 COMMANDS = {
     "mixed-volume": (body_docs(), lambda bad, good: ["mixed-volume", "--bodies", good, bad, good]),
     "area-measure": (body_docs(), lambda bad, good: ["area-measure", "--bodies", good, bad]),
@@ -148,6 +156,15 @@ COMMANDS = {
                                                     "--minus", good, "--c", bad]),
     "ball-support": (body_docs(), lambda bad, good: ["ball-support", "--body", bad]),
     "criticality": (body_docs(), lambda bad, good: ["criticality", "--bodies", good, bad, good]),
+    "admissible": (body_docs(), lambda bad, good: ["admissible", "--seq", good, bad]),
+    "census": (body_docs(), lambda bad, good: ["census", "--seq", good, bad, "--upto", "1"]),
+    "polyoid-verify": (body_docs(), lambda bad, good: ["polyoid", "verify", "--measure",
+                                                       _measure_path(good), "--body", bad]),
+    "polyoid-pushforward": (measure_docs(), lambda bad, good: ["polyoid", "pushforward",
+                                                               "--measure", bad,
+                                                               "--z", "1", "0", "0"]),
+    "polyoid-normalize": (measure_docs(), lambda bad, good: ["polyoid", "normalize",
+                                                             "--measure", bad]),
 }
 
 
@@ -159,9 +176,29 @@ def test_malformed_documents_exit_1_or_2(cmd, data, tmp_path):
     docs, argv = COMMANDS[cmd]
     good = tmp_path / "good.json"
     good.write_text(json.dumps(GOOD_BODY))
+    (tmp_path / "measure.json").write_text(json.dumps(GOOD_MEASURE))
     bad = tmp_path / "bad.json"
     bad.write_bytes(data.draw(_raw(docs)))
     code, out, err = _run(argv(str(bad), str(good)))
     assert code in (1, 2), err
     assert out == ""
     assert err.startswith("input error:" if code == 1 else "precondition violated:")
+
+
+GEN_KINDS = ["ktope", "body", "zonotope", "mixed", "quad4", "admissible-seq"]
+GEN_INTS = ["--seed", "--dim", "--k", "--points", "--span", "--segments", "--m", "--count"]
+
+
+@given(kind=st.sampled_from(GEN_KINDS),
+       values=st.lists(st.integers(-2, 8), min_size=len(GEN_INTS), max_size=len(GEN_INTS)))
+@settings(max_examples=150, deadline=None)
+def test_gen_integer_arguments_exit_0_or_1(kind, values):
+    argv = ["gen", "--kind", kind]
+    for flag, value in zip(GEN_INTS, values):
+        argv += [flag, str(value)]
+    code, out, err = _run(argv)
+    assert code in (0, 1), err
+    if code == 0:
+        assert isinstance(json.loads(out), dict) and err == ""
+    else:
+        assert out == "" and err.startswith("input error:")

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afel import hull as hull_module
 from afel.area_measure import ball_polytope
 from afel.errors import PreconditionError
 from afel.geometry import (
     Direction,
-    _integerize,
     contains_point,
     convex_hull,
     diameter_sq,
@@ -428,80 +426,49 @@ def test_hull_matches_brute_force(d, data):
         assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
 
 
-# ------------------------------------- 3D interior-point throw-away oracle
-# `test_hull_matches_brute_force` draws at most 12 points, far below the size
-# where `hull_structure` thins a 3D input first; these inputs are above it.
-# The thinned hull must equal the plain wrap of all points, and every point
-# left out of the final wrap must lie strictly inside the result.
+# ------------------------------------------------- 3D hulls of many points
+# `test_hull_matches_brute_force` draws at most 12 points; these inputs have
+# hundreds, most of them on facet planes or inside the hull.
 
 
-def _throwaway_wraps(pts):
-    """The HullResult of `hull_structure(pts, 3)` and the point lists it
-    handed to the gift wrap, in call order."""
-    assert len(pts) > hull_module._THROWAWAY_MIN
-    wraps = []
-    wrap = hull_module._wrap
-
-    def recording_wrap(points, d):
-        wraps.append(list(points))
-        return wrap(points, d)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hull_module, "_wrap", recording_wrap)
-        h = hull_module.hull_structure(pts, 3)
-    assert h == wrap(pts, 3)
-    return h, wraps
-
-
-def _dropped_points(pts, h, wraps):
-    """The points left out of the last wrap, each checked to lie strictly
-    inside every facet of the result."""
-    dropped = set(pts) - set(wraps[-1])
-    for p in dropped:
-        assert all(sum(a * b for a, b in zip(f.normal, p)) < f.offset for f in h.facets)
-    return dropped
-
-
-def test_hull_throwaway_on_ball_sum_candidates():
-    cube = convex_hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
-    ball = ball_polytope(50)
-    pts, _ = _integerize(sorted({tuple(a + b for a, b in zip(v, w))
-                                 for v in cube.vertices for w in ball.vertices}))
-    h, wraps = _throwaway_wraps(pts)
-    assert len(wraps) == 2 and _dropped_points(pts, h, wraps)  # inner hull, thinned wrap
-
-
-def test_hull_throwaway_keeps_coplanar_boundary_points():
-    # every integer point of a box; the non-vertex points on its faces lie on
-    # facet planes and must all reach the wrap
+def test_hull_of_integer_box_points():
+    # every integer point of a 7 x 7 x 4 box: the face and edge points lie on
+    # facet planes but are no vertices
     sides = (7, 7, 4)
     pts = list(itertools.product(*(range(s + 1) for s in sides)))
-    h, wraps = _throwaway_wraps(pts)
-    interior = {p for p in pts if all(0 < c < s for c, s in zip(p, sides))}
-    assert _dropped_points(pts, h, wraps) == interior
-    assert len(h.vertex_ids) == 8 and len(h.facets) == 6 and len(h.ridges) == 12
+    p = convex_hull(pts)
+    corners = set(itertools.product(*((0, s) for s in sides)))
+    assert set(p.vertices) == corners
+    face_interior = {q for q in pts if sum(0 < c < s for c, s in zip(q, sides)) == 2}
+    assert len(face_interior) == 2 * (6 * 6 + 6 * 3 + 6 * 3)
+    assert not face_interior & set(p.vertices)
+    expected = set()
+    for k, s in enumerate(sides):
+        e = tuple(int(j == k) for j in range(3))
+        expected |= {(e, s), (tuple(-c for c in e), 0)}
+    assert {(f.normal.z, f.offset) for f in p.facets} == expected
+    assert len(p.edges) == 12
 
 
-CLOUD_BOX = list(itertools.product(range(-4, 5), repeat=3))
+def test_hull_of_cube_plus_ball_vertex_sums():
+    cube = convex_hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    ball = ball_polytope(50)
+    pts = {tuple(a + b for a, b in zip(v, w)) for v in cube.vertices for w in ball.vertices}
+    p = convex_hull(pts)
+    assert p.dim == 3
+    for f in p.facets:
+        heights = [sum(a * b for a, b in zip(f.normal.z, q)) for q in pts]
+        assert max(heights) == f.offset
+        assert all(sum(a * b for a, b in zip(f.normal.z, p.vertices[i])) == f.offset
+                   for i in f.vertex_ids)
+    assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
 
 
-@given(size=st.integers(min_value=hull_module._THROWAWAY_MIN + 1, max_value=450),
-       rng=st.randoms(use_true_random=False))
-@settings(max_examples=15, deadline=None)
-def test_hull_throwaway_matches_plain_wrap(size, rng):
-    pts = rng.sample(CLOUD_BOX, size)
-    h, wraps = _throwaway_wraps(pts)
-    _dropped_points(pts, h, wraps)
-
-
-def test_hull_throwaway_falls_back_on_flat_extremes():
-    # 289 points on the plane x + 2y + 4z = 0 and one just off its middle:
-    # every directional extreme lies on the plane, so nothing is dropped
+def test_hull_of_coplanar_points_and_apex():
+    # 289 points on the plane x + 2y + 4z = 0 and one just off its middle
     pts = [(-2 * y - 4 * z, y, z) for y in range(-8, 9) for z in range(-8, 9)]
     pts.append((1, 0, 0))
-    h, wraps = _throwaway_wraps(pts)
-    assert wraps == [pts]
-    assert len(h.vertex_ids) == 5
+    assert len(convex_hull(pts).vertices) == 5
 
 
 # ------------------------------------------- bodies of dimension below n
