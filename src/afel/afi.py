@@ -10,6 +10,9 @@ V(L,L,C) and V(K,L,C) off its own measures, the support route decides
 V(K,L,C) > 0 as semicriticality by rank tests (Schneider, Convex Bodies,
 2nd ed. 2014, Thm 5.1.8).  The discriminant stays on inclusion-exclusion,
 one table of subset sums, so it checks the measure route independently.
+
+The support witness is unique: the arc ends span R^3, and semicriticality
+keeps L from being a point, so one exact solve finds it (`_arc_solution`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .area_measure import ball_support_arcs, mixed_area_diff, mixed_area_measure
 from .criticality import classify
 from .errors import PreconditionError, TheoryViolationError
 from .geometry import Direction, SupportDiff, VPolytope, scale_translate
-from .linalg import dot, min_norm_solution, primitive, solve_linear, vsub
+from .linalg import dot, primitive, solve_linear, vsub
 from .mixed_volume import _check_tuple, _diff_terms, _inclusion_exclusion
 
 
@@ -168,6 +171,28 @@ def _linearity_constraint(z: Direction, vp, vm):
     return tuple(Fraction(c) for c in z.z), Fraction(dot(vp, z.z) - dot(vm, z.z))
 
 
+def _arc_solution(plus: VPolytope, minus: VPolytope, c: VPolytope,
+                  constraint) -> Optional[tuple]:
+    """The one solution of the stacked arc constraints (`_arc_constraints`),
+    or None when they are inconsistent.  It is unique where the routes apply:
+    C's facet normals are arc ends and span R^3, so the x-columns have rank
+    3; a free homothety factor would make h_L linear on the arc support, so
+    S(L,C,.) = 0 by the vanishing criterion (which `afel linearity` checks),
+    V(L,C,C) = 0 and L a point, which semicriticality of (K,L,C) rules out.
+    a <= 0 cannot occur either: V(K,C,C) = a V(L,C,C), both sides positive."""
+    rows, rhs = _arc_constraints(plus, minus, c, constraint)
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        return None
+    x, basis = sol
+    if basis:
+        raise TheoryViolationError(f"arc constraints leave {len(basis)} free unknowns")
+    # exact re-verification on every sub-arc constraint
+    if any(dot(row, x) != b for row, b in zip(rows, rhs)):
+        raise TheoryViolationError("arc witness fails a sub-arc constraint")
+    return x
+
+
 def equality_by_support(k: VPolytope, l: VPolytope,
                         c: VPolytope) -> Optional[tuple[Fraction, tuple]]:
     """Support route: solve for a > 0 and x with h_K = h_{aL+x} on the arcs;
@@ -178,26 +203,13 @@ def equality_by_support(k: VPolytope, l: VPolytope,
         raise PreconditionError("C must be full-dimensional (supercritical)")
     if not classify([k, l, c]).at_least("semicritical"):
         raise PreconditionError("V(K,L,C) > 0 required for the positive branch")
-    rows, rhs = _arc_constraints(k, l, c, _homothety_constraint)
-    sol = solve_linear(rows, rhs)
+    sol = _arc_solution(k, l, c, _homothety_constraint)
     if sol is None:
         return None
-    x0, basis = sol
-    best = min_norm_solution(rows, rhs, norm_coords=(1, 2, 3))
-    if best[0] <= 0 and any(b[0] != 0 for b in basis):
-        # minimal-|x| pick landed at a <= 0 but a varies: pin a = 1 instead
-        best = min_norm_solution(list(rows) + [(1, 0, 0, 0)],
-                                 list(rhs) + [Fraction(1)], norm_coords=(1, 2, 3))
-        if best is None:
-            return None
-    a, x = best[0], best[1:]
+    a, x = sol[0], sol[1:]
     if a <= 0:
-        return None
-    # exact re-verification on every sub-arc constraint
-    vec = (a,) + tuple(x)
-    if any(dot(row, vec) != b for row, b in zip(rows, rhs)):
-        raise TheoryViolationError("homothety witness fails a sub-arc constraint")
-    return a, tuple(x)
+        raise TheoryViolationError(f"homothety factor {a} is not positive")
+    return a, x
 
 
 def linearity_on_arcs(f: SupportDiff, c: VPolytope) -> Optional[tuple]:
@@ -206,8 +218,7 @@ def linearity_on_arcs(f: SupportDiff, c: VPolytope) -> Optional[tuple]:
         raise PreconditionError("arc linearity requires ambient dimension 3")
     if c.dim != 3:
         raise PreconditionError("C must be full-dimensional (supercritical)")
-    rows, rhs = _arc_constraints(f.plus, f.minus, c, _linearity_constraint)
-    return min_norm_solution(rows, rhs)
+    return _arc_solution(f.plus, f.minus, c, _linearity_constraint)
 
 
 @dataclass(frozen=True)

@@ -398,9 +398,6 @@ class SupportDiff:
     def n(self) -> int:
         return self.plus.n
 
-    def value(self, z: Direction) -> Fraction:
-        return support_value(self.plus, z) - support_value(self.minus, z)
-
 
 DiffArg = Union[VPolytope, SupportDiff]
 

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import TheoryViolationError
-
 Vec = tuple  # tuple of Fraction (or int where noted)
 
 
@@ -189,34 +187,3 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence) -> Optional[tuple[Vec, list
             v[col] = Fraction(-row[fc], row[col])
     return tuple(x), [tuple(v) for v in basis]
 
-
-def min_norm_solution(rows: Sequence[Vec], rhs: Sequence,
-                      norm_coords: Optional[Sequence[int]] = None) -> Optional[Vec]:
-    """Exact solution of rows @ x = rhs minimizing sum of squares over
-    norm_coords (all coordinates when None).  Leftover free directions that do
-    not affect the minimized coordinates are set to zero.
-    """
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    x0, basis = sol
-    if not basis:
-        return x0
-    ncols = len(x0)
-    coords = list(range(ncols)) if norm_coords is None else list(norm_coords)
-    # minimize |P(x0 + B t)|^2 -> (PB)^T (PB) t = -(PB)^T P x0
-    pb = [[b[c] for b in basis] for c in coords]  # len(coords) x len(basis)
-    px0 = [x0[c] for c in coords]
-    k = len(basis)
-    normal = [[sum(pb[r][i] * pb[r][j] for r in range(len(coords))) for j in range(k)]
-              for i in range(k)]
-    rhs2 = [-sum(pb[r][i] * px0[r] for r in range(len(coords))) for i in range(k)]
-    inner = solve_linear([tuple(r) for r in normal], rhs2)
-    if inner is None:
-        raise TheoryViolationError("inconsistent normal equations")
-    t0, _ = inner
-    x = list(x0)
-    for bi, ti in zip(basis, t0):
-        for c in range(ncols):
-            x[c] += ti * bi[c]
-    return tuple(x)

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from afel.afi import (
     gafi_check,
     is_homothetic,
     linearity_equivalence,
+    linearity_on_arcs,
 )
 from afel.area_measure import ball_support_arcs, mixed_area_diff
 from afel.errors import PreconditionError, TheoryViolationError
@@ -27,7 +29,7 @@ from afel.geometry import (
     singleton,
     support_value,
 )
-from afel.linalg import dot, vadd, vscale
+from afel.linalg import dot, solve_linear, vadd, vscale
 from afel.mixed_volume import mixed_volume, mixed_volume_diff, mixed_volume_interpolated, volume
 
 from conftest import block_in_afel, patch_in_afel, random_body, truncated_cube
@@ -420,3 +422,107 @@ def test_support_route_precondition_is_positivity():
             with pytest.raises(PreconditionError, match="V\\(K,L,C\\) > 0"):
                 equality_by_support(k, l, c)
     assert min(outcomes.values()) >= 5, outcomes
+
+
+# ---------------------------------------------------------------------------
+# the arc witness is one exact solve with an empty nullspace
+
+
+def _arc_corpus():
+    """Seeded (K, L, C) triples for the support route and (plus, minus, C)
+    triples for arc linearity: flat, segment and full-dimensional bodies
+    against full-dimensional C."""
+    cube = _sym_cube()
+    equality = _equality_triples()
+    for seed in range(24):
+        k = gen_mixed_body(seed)
+        l = gen_mixed_body(1000 + seed) if seed % 2 else scale_translate(k, 1, (1, 2, -1))
+        equality.append((k, l, gen_body(3, 2000 + seed, points=5)))
+    equality += [(segment((0, 0, 0), (2, 1, 0)), cube, cube),
+                 (cube, segment((0, 0, 0), (0, 0, 1)), cube)]
+    rng = random.Random(2020)
+    linearity = []
+    for _ in range(4):
+        box = _random_box(rng)
+        linearity.append((box, _truncate_box(rng, box), box))
+    linearity += [(random_body(rng, 3), random_body(rng, 3), random_body(rng, 3, full_dim=True))
+                  for _ in range(6)]
+    linearity += [(segment((0, 0, 0), (1, 1, 1)), cube, cube),
+                  (cube, scale_translate(cube, 1, (1, 2, 3)), cube)]
+    return equality, linearity
+
+
+def test_arc_solves_have_empty_nullspace(monkeypatch):
+    # every consistent arc system of the corpus has exactly one solution,
+    # each decision makes one solve, and both verdicts agree with the
+    # measure side of the vanishing criterion
+    equality, linearity = _arc_corpus()
+    nullities = []
+
+    def spy(rows, rhs):
+        sol = solve_linear(rows, rhs)
+        nullities.append(None if sol is None else len(sol[1]))
+        return sol
+
+    monkeypatch.setattr(sys.modules["afel.afi"], "solve_linear", spy)
+    counts = Counter()
+    for k, l, c in equality:
+        counts["flat"] += min(k.dim, l.dim) < 3
+        counts["segment"] += min(k.dim, l.dim) == 1
+        try:
+            w = equality_by_support(k, l, c)
+        except PreconditionError:
+            counts["refused"] += 1
+            continue
+        counts[f"equality {w is not None}"] += 1
+        try:
+            a = equality_by_measure(k, l, [c])
+        except PreconditionError:
+            continue
+        assert (w is None and a is None) or w[0] == a
+    for p, m, c in linearity:
+        counts["flat"] += min(p.dim, m.dim) < 3
+        counts["segment"] += min(p.dim, m.dim) == 1
+        f = SupportDiff(p, m)
+        x = linearity_on_arcs(f, c)
+        counts[f"linear {x is not None}"] += 1
+        assert (x is not None) == mixed_area_diff([f, c]).is_zero()
+    assert counts == {"flat": 27, "segment": 13, "refused": 5, "equality True": 14,
+                      "equality False": 21, "linear True": 5, "linear False": 7}
+    # one solve per decision: the 19 witnesses had no free unknown
+    assert Counter(nullities) == {0: 19, None: 28}
+
+
+def _with_free_direction(rows, rhs):
+    """The true solution, plus a made-up nullspace vector."""
+    x0, _ = solve_linear(rows, rhs)
+    return x0, [tuple(Fraction(int(i == 0)) for i in range(len(x0)))]
+
+
+def _off_by_one(rows, rhs):
+    """A solution with no nullspace that misses every row with a nonzero
+    first coefficient."""
+    x0, _ = solve_linear(rows, rhs)
+    return (x0[0] + 1,) + x0[1:], []
+
+
+def test_arc_solution_refuses_free_unknowns_and_wrong_solutions(monkeypatch, sym_cube):
+    f = SupportDiff(sym_cube, truncated_cube())
+    afi_module = sys.modules["afel.afi"]
+    for fake, message in ((_with_free_direction, "leave 1 free unknowns"),
+                          (_off_by_one, "fails a sub-arc constraint")):
+        monkeypatch.setattr(afi_module, "solve_linear", fake)
+        with pytest.raises(TheoryViolationError, match=message):
+            equality_by_support(sym_cube, truncated_cube(), sym_cube)
+        with pytest.raises(TheoryViolationError, match=message):
+            linearity_on_arcs(f, sym_cube)
+
+
+def test_support_route_refuses_nonpositive_factor(monkeypatch, sym_cube):
+    # patched above the re-verification, which a made-up a <= 0 from
+    # solve_linear would fail first
+    for a in (Fraction(-1), Fraction(0)):
+        monkeypatch.setattr(sys.modules["afel.afi"], "_arc_solution",
+                            lambda *args, a=a: (a, 0, 0, 0))
+        with pytest.raises(TheoryViolationError, match=f"homothety factor {a} is not positive"):
+            equality_by_support(sym_cube, truncated_cube(), sym_cube)

@@ -2,13 +2,15 @@
 subcommand of the CLI in process: every one must end in exit 1 (malformed
 input) or 2 (precondition), never in an exception.  Each generated document
 carries at least one break that the readers must reject.  Small and
-out-of-range integer arguments of `gen` must end in a report (exit 0) or an
+out-of-range integer arguments of `gen`, `census --upto`, `polyoid verify
+--samples` and `polyoid pushforward --z` must end in a report (exit 0) or an
 input error (exit 1)."""
 
 import contextlib
 import io
 import json
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -128,7 +130,10 @@ def _raw(doc_strategy):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # usage errors leave through the parser
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -202,3 +207,47 @@ def test_gen_integer_arguments_exit_0_or_1(kind, values):
         assert isinstance(json.loads(out), dict) and err == ""
     else:
         assert out == "" and err.startswith("input error:")
+
+
+FIXTURES = [str(resources.files("afel.fixtures").joinpath(f"admissible_seq_{i}.json"))
+            for i in range(1, 5)]
+
+
+def _report_or_input_error(argv, ok):
+    """Exit 0 with a JSON report when ok, else exit 1 with nothing on stdout."""
+    code, out, err = _run(argv)
+    if ok:
+        assert code == 0, err
+        assert isinstance(json.loads(out), dict) and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith(("input error:", "usage:")), err
+
+
+@given(order=st.permutations(FIXTURES), count=st.integers(1, 4), upto=st.integers(-2, 6))
+@settings(max_examples=60, deadline=None)
+def test_census_upto_exit_0_or_1(order, count, upto):
+    # distinct fixture bodies in any order form an admissible sequence; a
+    # non-admissible one is test_cli's census_theory_violation case (exit 3)
+    _report_or_input_error(["census", "--seq", *order[:count], "--upto", str(upto)],
+                           1 <= upto <= count)
+
+
+@given(samples=st.integers(-2, 8), seed=st.integers())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_polyoid_verify_samples_exit_0_or_1(samples, seed, tmp_path):
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_BODY))
+    (tmp_path / "measure.json").write_text(json.dumps(GOOD_MEASURE))
+    _report_or_input_error(["polyoid", "verify", "--measure", str(tmp_path / "measure.json"),
+                            "--body", str(tmp_path / "good.json"), "--samples", str(samples),
+                            "--seed", str(seed)], samples >= 1)
+
+
+@given(z=st.lists(st.integers(-3, 3), max_size=5))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_polyoid_pushforward_z_exit_0_or_1(z, tmp_path):
+    (tmp_path / "measure.json").write_text(json.dumps(GOOD_MEASURE))
+    _report_or_input_error(["polyoid", "pushforward", "--measure", str(tmp_path / "measure.json"),
+                            "--z", *map(str, z)], len(z) == 3 and any(z))

@@ -103,3 +103,58 @@ def test_interval_precision_is_scoped(unit_cube, tetra):
     finally:
         iv.prec = saved
     assert outs[0] == outs[1] == outs[2]
+
+
+def _polygon_steiner(vertices):
+    """Steiner point of a convex polygon in R^3 from its vertices in cyclic
+    order: each vertex weighted by its exterior angle pi - theta over 2 pi,
+    theta the interior angle from math.acos."""
+    k = len(vertices)
+    out = [0.0, 0.0, 0.0]
+    for t, v in enumerate(vertices):
+        a = [float(p - q) for p, q in zip(vertices[t - 1], v)]
+        b = [float(p - q) for p, q in zip(vertices[(t + 1) % k], v)]
+        theta = math.acos(sum(x * y for x, y in zip(a, b)) / (math.hypot(*a) * math.hypot(*b)))
+        out = [o + float(c) * (math.pi - theta) / (2 * math.pi) for o, c in zip(out, v)]
+    return out
+
+
+def _close(values, expected, tol=1e-12):
+    return all(abs(c.value - e) <= c.abs_err + tol for c, e in zip(values, expected))
+
+
+def test_steiner_flat_polygons():
+    # a triangle in the plane x + y/2 + z/3 = 1, and a rectangle with
+    # tilted sides u = (1, 1, 0) and w = (-1, 1, 2), whose Steiner point is
+    # its center
+    tri = [(1, 0, 0), (0, 2, 0), (0, 0, 3)]
+    p = convex_hull(tri)
+    assert p.dim == 2
+    s = steiner_point_3d(p)
+    assert _close(s, _polygon_steiner(tri))
+    assert not _close(s, [sum(c) / 3 for c in zip(*tri)], 1e-3)  # not the centroid
+    a, u, w = (Fraction(1, 3), 2, -1), (1, 1, 0), (-1, 1, 2)
+    rect = convex_hull([tuple(x + i * y + j * z for x, y, z in zip(a, u, w))
+                        for i in (0, 1) for j in (0, 1)])
+    assert rect.dim == 2 and len(rect.vertices) == 4
+    assert _close(steiner_point_3d(rect), [x + (y + z) / 2 for x, y, z in zip(a, u, w)])
+
+
+def test_steiner_normalize_polygon_atom():
+    # a triangle atom and a segment atom: each is recentered at its Steiner
+    # point and scaled to mean width 1 (a polygon's is a quarter of its
+    # perimeter, a segment's half its length), weights by relative width
+    tri = [(0, 0, 0), (3, 0, 0), (0, 4, 0)]
+    mu = BodyMeasure.of([(Fraction(1, 3), convex_hull(tri)),
+                         (Fraction(2, 3), segment((1, 1, 1), (1, 1, 3)))])
+    out = steiner_normalize(mu)
+    (w_tri, body), (w_seg, _) = out.atoms
+    width, seg_width = 12 / 4, 2 / 2
+    share = width / 3 / (width / 3 + seg_width * 2 / 3)
+    assert abs(w_tri.value - share) <= w_tri.abs_err + 1e-12
+    assert abs(w_seg.value + w_tri.value - 1) <= 1e-9
+    centre = _polygon_steiner(tri)
+    expected = sorted(tuple((c - s) / width for c, s in zip(v, centre)) for v in tri)
+    got = sorted(body.vertices)
+    assert all(abs(x - y) <= body.abs_err + 1e-12
+               for p, q in zip(got, expected) for x, y in zip(p, q))
