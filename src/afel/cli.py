@@ -205,7 +205,7 @@ def cmd_census(args) -> dict:
     if not 1 <= args.upto <= len(args.seq):
         raise JsonFormatError("--upto", f"must be between 1 and {len(args.seq)}")
     cen = macroid.partial_sum_census([_load_body(p) for p in args.seq], args.upto)
-    out = {
+    return {
         "triangles": cen.triangles,
         "parallelograms": cen.parallelograms,
         "other": cen.other,
@@ -215,11 +215,6 @@ def cmd_census(args) -> dict:
             for p in cen.provenance
         ],
     }
-    if cen.other > 0:
-        raise TheoryViolationError(
-            "census found non-triangle non-parallelogram facets: "
-            + json.dumps(out["provenance"]))
-    return out
 
 
 def _gen_one(kind: str, seed: int, args):

@@ -131,32 +131,21 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
         return VPolytope(n, 0, (p0,))
     if dim == 1:
         return VPolytope(n, 1, (p0, pts[-1]))
-    if dim < n:
-        reduced = [tuple(p[c] for c in cols) for p in pts]
-        sub = convex_hull(reduced)
-        vert_set = set(sub.vertices)
-        keep = [i for i, rp in enumerate(reduced) if rp in vert_set]
-        verts = tuple(pts[i] for i in keep)
-        cycle = None
-        if dim == 2:
-            remap = {old: new for new, old in enumerate(keep)}
-            cycle = tuple(remap[reduced.index(sub.vertices[k])] for k in sub.cycle)
-            k = cycle.index(min(cycle))
-            cycle = cycle[k:] + cycle[:k]
-        return VPolytope(n, dim, verts, cycle=cycle)
-    ints, den = integerize(pts)
-    h = _hull.hull_structure(ints, n)
+    # a flat input is hulled in its pivot-coordinate chart: its image there
+    # is full-dimensional, and the chart is injective, so ids carry over
+    chart = pts if dim == n else [tuple(p[c] for c in cols) for p in pts]
+    ints, den = integerize(chart)
+    h = _hull.hull_structure(ints, dim)
     keep = list(h.vertex_ids)
     remap = {old: new for new, old in enumerate(keep)}
     verts = tuple(pts[i] for i in keep)
+    cycle = _from_min(tuple(remap[i] for i in h.cycle)) if dim == 2 else None
+    if dim < n:
+        return VPolytope(n, dim, verts, cycle=cycle)
     facets = []
     for f in h.facets:
         ids = tuple(remap[i] for i in f.points)
-        if n == 3:
-            k = ids.index(min(ids))
-            ids = ids[k:] + ids[:k]
-        else:
-            ids = tuple(sorted(ids))
+        ids = _from_min(ids) if n == 3 else tuple(sorted(ids))
         zdir = Direction(f.normal)
         offset = num(Fraction(f.offset, den))
         pvol = num(f.proj_volume / den ** (n - 1)) if den != 1 else num(f.proj_volume)
@@ -167,12 +156,13 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
             Edge(tuple(sorted(remap[i] for i in r.points)), tuple(sorted(r.facets)))
             for r in sorted(h.ridges, key=lambda r: tuple(sorted(remap[i] for i in r.points)))
         )
-    cycle = None
-    if n == 2:
-        cycle = tuple(remap[i] for i in h.cycle)
-        k = cycle.index(min(cycle))
-        cycle = cycle[k:] + cycle[:k]
     return VPolytope(n, n, verts, tuple(facets), edges, cycle)
+
+
+def _from_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic sequence rotated to start at its smallest id."""
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
 
 
 def singleton(x: Sequence) -> VPolytope:

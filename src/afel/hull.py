@@ -1,12 +1,15 @@
 """Exact convex hull with facet structure, dimensions 2 through 4.
 
 Input is a deduplicated list of integer coordinate tuples that affinely span
-R^d.  The algorithm is gift wrapping: facets are discovered by rotating a
-supporting hyperplane around ridges, with every predicate an exact integer
-sign computation, so coplanar and collinear configurations need no special
+R^d.  A planar set gets Andrew's monotone chain.  In R^3 and R^4 the
+algorithm is gift wrapping: facets are discovered by rotating a supporting
+hyperplane around ridges, with every predicate an exact integer sign
+computation, so coplanar and collinear configurations need no special
 casing.  Each facet is materialized as the full set of input points on its
-supporting hyperplane; its vertex set and ridges come from a recursive
-(d-1)-dimensional hull of those points.
+supporting hyperplane and projected along its normal's largest coordinate:
+a 3D facet's vertex cycle and area come from the monotone chain of that
+projection, a 4D facet's vertices, ridges and volume from wrapping it in
+R^3.
 
 Outputs are combinatorial: indices into the input point list.
 """
@@ -38,9 +41,8 @@ class Ridge:
 
 @dataclass(frozen=True)
 class HullResult:
-    dim: int
-    vertex_ids: tuple[int, ...]
-    facets: tuple[RawFacet, ...]
+    vertex_ids: tuple[int, ...]  # sorted
+    facets: tuple[RawFacet, ...]  # the edges for d=2
     ridges: tuple[Ridge, ...]  # () for d=2; only the 3D ridges are read (VPolytope.edges)
     cycle: Optional[tuple[int, ...]] = None  # d=2 only: CCW vertex cycle
 
@@ -53,7 +55,9 @@ def hull_structure(points: list[tuple[int, ...]], d: int) -> HullResult:
     raise ValueError(f"unsupported hull dimension {d}")
 
 
-def _hull_2d(points) -> HullResult:
+def _chain_2d(points) -> tuple[int, ...]:
+    """CCW cycle of the extreme points of a planar point set (Andrew's
+    monotone chain), starting at the lexicographically smallest point."""
     order = sorted(range(len(points)), key=lambda i: points[i])
 
     def chain(ids):
@@ -72,7 +76,11 @@ def _hull_2d(points) -> HullResult:
 
     lower = chain(order)
     upper = chain(reversed(order))
-    cycle = tuple(lower[:-1] + upper[:-1])
+    return tuple(lower[:-1] + upper[:-1])
+
+
+def _hull_2d(points) -> HullResult:
+    cycle = _chain_2d(points)
     facets = []
     for k in range(len(cycle)):
         i, j = cycle[k], cycle[(k + 1) % len(cycle)]
@@ -81,7 +89,7 @@ def _hull_2d(points) -> HullResult:
         drop = 0 if abs(n[0]) >= abs(n[1]) else 1
         plen = Fraction(abs(e[1] if drop == 0 else e[0]))
         facets.append(RawFacet(n, dot(points[i], n), (i, j), drop, plen))
-    return HullResult(2, tuple(sorted(cycle)), tuple(facets), (), cycle)
+    return HullResult(tuple(sorted(cycle)), tuple(facets), (), cycle)
 
 
 def _perp_vector(z, basis, d) -> tuple[int, ...]:
@@ -141,14 +149,6 @@ def _initial_facet(points, d) -> tuple[tuple[int, ...], int]:
     return z, dot(p0, z)
 
 
-def hull_volume(points, h: "HullResult") -> Fraction:
-    """Exact d-volume of a hull over its own structure (d = 2 or 3)."""
-    if h.dim == 2:
-        return _shoelace([points[i] for i in h.cycle])
-    return divergence_volume(((f.offset, f.proj_volume, f.normal[f.drop])
-                              for f in h.facets), h.dim)
-
-
 def divergence_volume(facets, d: int) -> Fraction:
     """Divergence theorem over (offset, projected volume, normal[drop])
     facet triples: (1/d) * sum of offset * proj_volume / |normal[drop]|."""
@@ -168,14 +168,17 @@ def _shoelace(verts) -> Fraction:
 
 
 def _facet_substructure(points, onplane, normal, d):
-    """Vertices (extreme points), ridges and projected volume of the facet
-    spanned by the points in `onplane`, via a recursive projected hull."""
+    """Vertices (extreme points), ridges, dropped coordinate and projected
+    volume of the facet spanned by the points in `onplane`.  The facet is
+    projected by dropping the normal's largest coordinate; a 3D facet's
+    cycle and area come from the monotone chain of the projection, a 4D
+    facet's vertices, ridges and volume from wrapping it in R^3."""
     j = max(range(d), key=lambda k: abs(normal[k]))
     proj = [tuple(points[i][k] for k in range(d) if k != j) for i in onplane]
-    sub = hull_structure(proj, d - 1)
-    pvol = hull_volume(proj, sub)
     if d == 3:
-        pts = tuple(onplane[k] for k in sub.cycle)
+        cycle = _chain_2d(proj)
+        pvol = _shoelace([proj[k] for k in cycle])
+        pts = tuple(onplane[k] for k in cycle)
         ridge_sets = [tuple(sorted((pts[t], pts[(t + 1) % len(pts)])))
                       for t in range(len(pts))]
         # keep facet cycle consistently oriented CCW as seen from outside
@@ -184,6 +187,9 @@ def _facet_substructure(points, onplane, normal, d):
         if dot(cross3(e0, e1), normal) < 0:
             pts = tuple(reversed(pts))
     else:
+        sub = _wrap(proj, 3)
+        pvol = divergence_volume(((f.offset, f.proj_volume, f.normal[f.drop])
+                                  for f in sub.facets), 3)
         pts = tuple(sorted(onplane[k] for k in sub.vertex_ids))
         ridge_sets = [tuple(sorted(onplane[k] for k in f.points)) for f in sub.facets]
     return pts, ridge_sets, j, pvol
@@ -285,7 +291,7 @@ def _wrap(points, d) -> HullResult:
             raise TheoryViolationError("wrap failed to close ridge")
 
     verts = sorted({i for f in facets for i in f.points})
-    return HullResult(d, tuple(verts), tuple(facets), tuple(adjacency))
+    return HullResult(tuple(verts), tuple(facets), tuple(adjacency))
 
 
 def _independent2(u, v) -> bool:

@@ -24,12 +24,10 @@ from .geometry import (
     convex_hull,
     diameter_sq,
     is_summand,
-    minkowski_sum,
     minkowski_sum_many,
     minkowski_sum_tagged,
     segment,
     singleton,
-    support_set,
 )
 from .linalg import cross3, dot, primitive, vscale, vsub
 from .numerics import interval_precision, iv_sqrt_frac
@@ -108,22 +106,20 @@ def zonotope_kernel(p: VPolytope) -> VPolytope:
     per-edge-direction maximal segment summands and verified as a summand."""
     if p.n != 3:
         raise PreconditionError("zonotope kernel implemented for ambient dimension 3")
-    origin = singleton((0, 0, 0))
-    if p.dim == 0:
-        return origin
-    acc = None
+    segments = []
     for d in _edge_directions(p):
         lam = segment_summand_max(p, d)
-        if lam == 0:
-            continue
-        half = vscale(lam / 2, d.z)
-        seg = segment(tuple(-c for c in half), half)
-        acc = seg if acc is None else minkowski_sum(acc, seg)
-        # independent segment summands combine to a summand at every step
-        if not is_summand(acc, p):
-            raise TheoryViolationError(
-                "partial zonotope assembly stopped being a summand")
-    return origin if acc is None else acc
+        if lam:
+            half = vscale(lam / 2, d.z)
+            segments.append(segment(tuple(-c for c in half), half))
+    if not segments:
+        return singleton((0, 0, 0))
+    zono = minkowski_sum_many(segments)
+    # independent segment summands sum to a summand; when P = M + Z, every
+    # partial sum of Z's segments is a summand too, so one check covers all
+    if not is_summand(zono, p):
+        raise TheoryViolationError("assembled zonotope kernel is not a summand")
+    return zono
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
             triangles = False
             witness = witness or ("facet", i)
             break
-    dirs_per_body = [_edge_directions(p) if p.dim >= 1 else [] for p in seq]
+    dirs_per_body = [_edge_directions(p) for p in seq]
     distinct = True
     seen: dict[Direction, int] = {}
     for i, dirs in enumerate(dirs_per_body):
@@ -187,7 +183,9 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
             if i == j:
                 continue
             for f in p.facets:
-                if support_set(q, f.normal).dim != 0:
+                # F(q, z) is a vertex iff one vertex attains h_q(z)
+                vals = [dot(v, f.normal.z) for v in q.vertices]
+                if vals.count(max(vals)) > 1:
                     cross = False
                     witness = witness or ("cross-support", (i, j, f.normal.z))
                     break

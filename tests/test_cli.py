@@ -284,8 +284,8 @@ def test_atomic_measure_json_shape():
     assert len(doc["atoms"]) == 6
 
 
-def test_census_theory_violation_exit_code(tmp_path):
-    # a non-admissible prefix with mixed facet sources must exit 3
+def _census_pair(tmp_path):
+    # a tetrahedron and a translate: parallel facets meet in "other" facets
     tetra = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
     from afel.geometry import translate
 
@@ -294,8 +294,29 @@ def test_census_theory_violation_exit_code(tmp_path):
     p2 = tmp_path / "p2.json"
     p1.write_text(json.dumps(jsonio.polytope_to_json(tetra)))
     p2.write_text(json.dumps(jsonio.polytope_to_json(moved)))
-    r = run_cli(["census", "--seq", str(p1), str(p2), "--upto", "2"])
-    assert r.returncode == 3
+    return ["census", "--seq", str(p1), str(p2), "--upto", "2"]
+
+
+def test_census_theory_violation_exit_code(tmp_path):
+    # a non-admissible prefix with mixed facet sources is no theory
+    # violation: the census is its diagnostic, and the run exits 0
+    r = run_cli(_census_pair(tmp_path))
+    assert r.returncode == 0 and r.stderr == ""
+    rep = json.loads(r.stdout)
+    assert rep["admissible_prefix"] is False
+    assert rep["other"] > 0
+    assert rep["other"] == sum(p["kind"] == "other" for p in rep["provenance"])
+
+
+def test_census_other_facet_on_admissible_prefix_exits_3(tmp_path, monkeypatch, capsys):
+    # an "other" facet on a prefix that passes admissibility contradicts the
+    # theory; the library raises and the CLI exits 3
+    passing = macroid.AdmissibilityReport(True, True, True, True, True, (0.0, 0.0), None)
+    monkeypatch.setattr(macroid, "admissibility_check", lambda seq: passing)
+    assert cli.main(_census_pair(tmp_path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("theory violation (library bug): admissible prefix produced")
 
 
 @pytest.mark.parametrize("args,code", [

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -28,6 +29,7 @@ from afel.geometry import (
     support_set,
     support_value,
 )
+from afel.hull import hull_structure
 
 from conftest import random_body
 
@@ -469,6 +471,121 @@ def test_hull_of_coplanar_points_and_apex():
     pts = [(-2 * y - 4 * z, y, z) for y in range(-8, 9) for z in range(-8, 9)]
     pts.append((1, 0, 0))
     assert len(convex_hull(pts).vertices) == 5
+
+
+# ---------------------------------------------- one hull pass per body
+
+
+def test_one_hull_structure_call_per_convex_hull(monkeypatch):
+    calls = []
+
+    def hull_spy(points, d):
+        calls.append(d)
+        return hull_structure(points, d)
+
+    def convex_hull_spy(points):
+        calls.append("convex_hull")
+        return convex_hull(points)
+
+    monkeypatch.setattr("afel.hull.hull_structure", hull_spy)
+    monkeypatch.setattr("afel.geometry.convex_hull", convex_hull_spy)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cube3 = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    cube4 = list(itertools.product((0, 2), repeat=4))
+    cases = [
+        # a cube with points on its edges and faces
+        ("body-R3", cube3 + [(1, 0, 0), (1, 1, 0), (2, 1, 1)], 3, 8),
+        # a 4-cube with points on its 3-faces, whose facets are wrapped in R^3
+        ("body-R4", cube4 + [(1, 1, 1, 0), (2, 1, 0, 1)], 4, 16),
+        # a hexagon in the plane x + y + z = 1, with its center and a point
+        # on an edge
+        ("polygon-R3", [(a, b, 1 - a - b) for a, b in
+                        [(2 * third, third), (third, 2 * third), (0, 2 * third), (0, third),
+                         (third, 0), (2 * third, 0), (third, third), (half, half)]], 2, 6),
+        # a 3-cube in the hyperplane w = x + 2y - z, with its center
+        ("flat-R4", [(x, y, z, x + 2 * y - z) for x, y, z in cube3 + [(1, 1, 1)]], 3, 8),
+    ]
+    for label, pts, dim, nverts in cases:
+        calls.clear()
+        p = convex_hull_spy(pts)
+        assert (p.dim, len(p.vertices)) == (dim, nverts), label
+        assert calls == ["convex_hull", dim], label
+
+
+def _flat_corpus(seed, count):
+    """Seeded flat point sets: affinely spanning integer points of
+    [-3, 3]^k, half the time with the midpoint of two of them added, under an
+    injective rational affine map into R^n, for (n, k) = (3, 2), (4, 2) and
+    (4, 3)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, k = rng.choice([(3, 2), (4, 2), (4, 3)])
+        amap = [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(k)]
+                for _ in range(n)]
+        if not _independent([tuple(row[j] for row in amap) for j in range(k)]):
+            continue
+        base = {tuple(rng.randint(-3, 3) for _ in range(k))
+                for _ in range(rng.randint(k + 1, 10))}
+        b0 = min(base)
+        if not any(_det([[a - c for a, c in zip(q, b0)] for q in sub])
+                   for sub in itertools.combinations([q for q in base if q != b0], k)):
+            continue
+        if rng.random() < 0.5:  # a midpoint of two of the points, often on an edge
+            a, c = rng.sample(sorted(base), 2)
+            if all((x + y) % 2 == 0 for x, y in zip(a, c)):
+                base.add(tuple((x + y) // 2 for x, y in zip(a, c)))
+        shift = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 5])) for _ in range(n)]
+        pts = [tuple(sum(row[j] * q[j] for j in range(k)) + s for row, s in zip(amap, shift))
+               for q in sorted(base)]
+        out.append((n, k, pts))
+    return out
+
+
+def _chart(pts, k):
+    """The points' image in the first k coordinates (in lexicographic order
+    of the index sets) where it is full-dimensional, scaled to integers."""
+    n = len(pts[0])
+    for cols in itertools.combinations(range(n), k):
+        img = [tuple(p[c] for c in cols) for p in pts]
+        diffs = [tuple(a - b for a, b in zip(q, img[0])) for q in img[1:]]
+        if any(_det(list(sub)) for sub in itertools.combinations(diffs, k)):
+            den = math.lcm(*(Fraction(x).denominator for q in img for x in q))
+            return [tuple(int(x * den) for x in q) for q in img]
+    raise AssertionError("no chart")
+
+
+def test_flat_hulls_against_brute_force_of_chart_image():
+    counts = collections.Counter()
+    for n, k, pts in _flat_corpus(2202, 600):
+        img = _chart(pts, k)
+        chart_of = dict(zip(pts, img))
+        verts, facets = _brute_force_hull(img)
+        p = convex_hull(pts)
+        assert (p.n, p.dim, p.facets, p.edges) == (n, k, None, None)
+        assert {chart_of[v] for v in p.vertices} == verts
+        assert list(p.vertices) == sorted(p.vertices)
+        counts[(n, k)] += 1
+        counts["non-integer"] += any(Fraction(x).denominator != 1 for q in pts for x in q)
+        counts["boundary non-vertex"] += any(
+            q not in verts and any(sum(a * b for a, b in zip(z, q)) == h for z, h in facets)
+            for q in img)
+        counts["interior"] += any(
+            all(sum(a * b for a, b in zip(z, q)) < h for z, h in facets) for q in img)
+        if k == 3:
+            assert p.cycle is None
+            continue
+        counts["triangle" if len(verts) == 3 else "polygon"] += 1
+        # the cycle visits every vertex once, from id 0, along the hull's edges
+        assert p.cycle[0] == 0 and sorted(p.cycle) == list(range(len(p.vertices)))
+        assert len(p.cycle) == len(facets)
+        for a, b in zip(p.cycle, p.cycle[1:] + p.cycle[:1]):
+            ya, yb = chart_of[p.vertices[a]], chart_of[p.vertices[b]]
+            assert any(sum(x * y for x, y in zip(z, ya)) == h == sum(x * y for x, y in zip(z, yb))
+                       for z, h in facets)
+    assert dict(counts) == {(3, 2): 177, (4, 2): 227, (4, 3): 196, "triangle": 77,
+                            "polygon": 327, "boundary non-vertex": 187, "interior": 335,
+                            "non-integer": 590}
 
 
 # ------------------------------------------- bodies of dimension below n

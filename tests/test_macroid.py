@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from afel.errors import TheoryViolationError
 from afel.generators import gen_admissible_sequence, gen_mixed_body, gen_zonotope
 from afel.geometry import (
     Direction,
@@ -121,6 +124,68 @@ def test_kernel_maximality_downscaling():
         zk = zonotope_kernel(p)
         for lam in (Fraction(1, 3), Fraction(1, 2), 1):
             assert is_summand(scale_translate(zk, lam, (0, 0, 0)), p)
+
+
+def _zonotope_plus_body_sums():
+    # Z + B with Z of 3 generators and B of at most 4 vertices
+    rng = random.Random(64)
+    return [minkowski_sum(gen_zonotope(3, 3, seed), random_body(rng, 3, max_points=4))
+            for seed in range(3)]
+
+
+def test_zonotope_kernel_makes_one_summand_check(monkeypatch, unit_cube, tetra):
+    checks = []
+
+    def spy(q, p):
+        checks.append(len(q.vertices))
+        return is_summand(q, p)
+
+    monkeypatch.setattr("afel.macroid.is_summand", spy)
+    dims = []
+    for p in [unit_cube, tetra] + _zonotope_plus_body_sums():
+        checks.clear()
+        zk = zonotope_kernel(p)
+        assert checks == ([] if zk.dim == 0 else [len(zk.vertices)])
+        dims.append(zk.dim)
+    assert dims == [3, 0, 3, 3, 3]
+
+
+def test_zonotope_kernel_refuses_an_oversized_segment(monkeypatch, unit_cube):
+    # doubling one segment makes it longer than the shortest chord of P in
+    # its direction; the one check on the assembled zonotope must catch it
+    for p in [unit_cube] + _zonotope_plus_body_sums():
+        doubled = []
+
+        def mutant(q, d):
+            lam = segment_summand_max(q, d)
+            if lam and not doubled:
+                doubled.append(d)
+                return 2 * lam
+            return lam
+
+        monkeypatch.setattr("afel.macroid.segment_summand_max", mutant)
+        with pytest.raises(TheoryViolationError):
+            zonotope_kernel(p)
+        assert doubled
+
+
+def test_admissibility_cross_support(tetra):
+    # q has no edge direction in common with the tetrahedron, but its edge
+    # from (0, 0, 0) to (1, -2, 1) is F(q, z) for the facet normal z = (1, 1, 1)
+    big = scale_translate(tetra, 4, (0, 0, 0))
+    q = convex_hull([(0, 0, 0), (1, -2, 1), (-1, -1, -2), (-2, 1, -1)])
+    rep = admissibility_check([big, q])
+    assert (rep.all_facets_triangles, rep.all_full_dimensional, rep.edge_directions_distinct,
+            rep.cross_support_trivial, rep.triples_span) == (True, True, True, False, True)
+    assert rep.witness == ("cross-support", (0, 1, (1, 1, 1)))
+    # and the tetrahedron's edge from (4, 0, 0) to (0, 4, 0) is F for q's
+    # facet normal (1, 1, -1)
+    assert admissibility_check([q, big]).witness == ("cross-support", (0, 1, (1, 1, -1)))
+    # a segment in the plane of the facet is a non-trivial support set too;
+    # one off it is not
+    for seg, trivial in ((segment((0, 0, 0), (1, -1, 0)), False),
+                         (segment((0, 0, 0), (1, 2, 3)), True)):
+        assert admissibility_check([big, seg]).cross_support_trivial is trivial
 
 
 def test_admissibility_negative_controls(unit_cube, tetra):
