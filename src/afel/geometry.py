@@ -135,11 +135,16 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
     # is full-dimensional, and the chart is injective, so ids carry over
     chart = pts if dim == n else [tuple(p[c] for c in cols) for p in pts]
     ints, den = integerize(chart)
-    h = _hull.hull_structure(ints, dim)
-    keep = list(h.vertex_ids)
+    if dim == 2 < n:
+        # a flat polygon keeps no facets, so it needs only the boundary cycle
+        cyc = _hull._chain_2d(ints)
+        keep = sorted(cyc)
+    else:
+        h = _hull.hull_structure(ints, dim)
+        keep, cyc = h.vertex_ids, h.cycle
     remap = {old: new for new, old in enumerate(keep)}
     verts = tuple(pts[i] for i in keep)
-    cycle = _from_min(tuple(remap[i] for i in h.cycle)) if dim == 2 else None
+    cycle = _from_min(tuple(remap[i] for i in cyc)) if dim == 2 else None
     if dim < n:
         return VPolytope(n, dim, verts, cycle=cycle)
     facets = []
@@ -413,38 +418,44 @@ def expand_support_diffs(args: Sequence[DiffArg]) -> Iterator[tuple[int, list[VP
 def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     """P minus Q in the Minkowski sense: the body M with M + Q = P, or None.
 
-    The erosion {x : x + Q being contained in P} equals the hull of the
-    feasible vertex differences v_P - v_Q; the exact reconstruction check
-    M + Q = P decides existence, since the difference is defined exactly by
-    that equality.
+    Decided by pairing vertices in P's pivot-coordinate chart
+    (`_facet_chart`), on one integer image of P, Q and P's offsets.  A flat
+    P first needs dir Q inside dir P, a rank test that a full-dimensional P
+    always passes; the chart is then injective on everything involved.
 
-    Feasibility is tested in P's pivot-coordinate chart (`_facet_chart`).
-    A flat P first needs dir Q inside dir P, a rank test that a
-    full-dimensional P always passes.  Then every v - w + Q lies in aff(P),
-    where the chart is injective, so v - w + Q lies in P exactly when the
-    image y of v - w satisfies <y, z> <= b - h_Q'(z) for every inequality
-    <y, z> <= b of P's image, Q' being the image of Q.
+    If P = M + Q, P's normal fan refines Q's (Schneider, Convex Bodies,
+    2nd ed. 2014, §1.7 and §3.1-3.2): for a vertex v of P, the sum z of the
+    inequality normals tight at v is interior to N(P, v), so F(Q, z) is a
+    single vertex w_v.  Two maximizers of <., z> over Q mean no M.
+    Otherwise M = hull(v - w_v) exactly when, for every inequality
+    <y, z_i> <= b_i of P's image, max_v <v - w_v, z_i> + h_Q(z_i) <= b_i:
+    that puts M + Q inside P, and every v = (v - w_v) + w_v lies in M + Q.
+    Only that M is hulled.
     """
     if p.n != q.n:
         raise PreconditionError("ambient dimension mismatch")
     if p.dim < p.n and q.dim > 0 and matrank(_directions(p) + _directions(q)) > p.dim:
         return None
     cols, ineqs = _facet_chart(p)
-    p_img = [tuple(v[c] for c in cols) for v in p.vertices]
-    q_img = [tuple(w[c] for c in cols) for w in q.vertices]
-    bounds = [(z, b - max(dot(w, z) for w in q_img)) for z, b in ineqs]
-    feasible = set()
-    for v, pv in zip(p.vertices, p_img):
-        for w, qw in zip(q.vertices, q_img):
-            x = vsub(pv, qw)
-            if all(dot(x, z) <= b for z, b in bounds):
-                feasible.add(vsub(v, w))
-    if not feasible:
-        return None
-    m = convex_hull(feasible)
-    if minkowski_sum(m, q) == p:
-        return m
-    return None
+    nv = len(p.vertices)
+    ints, _ = integerize([tuple(v[c] for c in cols) for v in p.vertices + q.vertices]
+                         + [tuple(b for _, b in ineqs)])
+    offsets = ints[-1]
+    # heights of P's and Q's vertices along each inequality normal
+    hp = [[dot(v, z) for v in ints[:nv]] for z, _ in ineqs]
+    hq = [[dot(w, z) for w in ints[nv:-1]] for z, _ in ineqs]
+    pick = []
+    for i in range(nv):
+        tight = [k for k, b in enumerate(offsets) if hp[k][i] == b]
+        score = [sum(hq[k][j] for k in tight) for j in range(len(q.vertices))]
+        top = max(score)
+        if score.count(top) > 1:
+            return None
+        pick.append(score.index(top))
+    for hpk, hqk, b in zip(hp, hq, offsets):
+        if max(h - hqk[j] for h, j in zip(hpk, pick)) + max(hqk) > b:
+            return None
+    return convex_hull({vsub(v, q.vertices[j]) for v, j in zip(p.vertices, pick)})
 
 
 def is_summand(q: VPolytope, p: VPolytope) -> bool:

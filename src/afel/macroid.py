@@ -29,7 +29,7 @@ from .geometry import (
     segment,
     singleton,
 )
-from .linalg import cross3, dot, primitive, vscale, vsub
+from .linalg import cross3, dot, integerize, primitive, vscale, vsub
 from .numerics import interval_precision, iv_sqrt_frac
 
 
@@ -54,23 +54,23 @@ def _edge_directions(p: VPolytope) -> list[Direction]:
     return [Direction(d) for d in sorted(dirs)]
 
 
-def _extent_along(p: VPolytope, vids: Sequence[int], d: tuple[int, ...]) -> Fraction:
-    vals = [dot(p.vertices[i], d) for i in vids]
-    return Fraction(max(vals) - min(vals), dot(d, d))
+def _extent_along(ints, vids: Sequence[int], d: tuple[int, ...], den: int) -> Fraction:
+    vals = [dot(ints[i], d) for i in vids]
+    return Fraction(max(vals) - min(vals), dot(d, d) * den)
 
 
-def _facet_bound(p: VPolytope, f, d: tuple[int, ...]) -> Fraction:
+def _facet_bound(ints, f, d: tuple[int, ...], den: int) -> Fraction:
     """The shorter of the two chords of P parallel to d at the ends of a
     facet whose normal is orthogonal to d: the facet's extreme sets in the
     in-plane direction perpendicular to d, measured in units of d.  Exact,
     not an upper bound: these are faces of P over shadow vertices."""
     u = cross3(f.normal.z, d)
-    vals = [(dot(p.vertices[i], u), i) for i in f.vertex_ids]
+    vals = [(dot(ints[i], u), i) for i in f.vertex_ids]
     top = max(v for v, _ in vals)
     bot = min(v for v, _ in vals)
     hi_ids = [i for v, i in vals if v == top]
     lo_ids = [i for v, i in vals if v == bot]
-    return min(_extent_along(p, hi_ids, d), _extent_along(p, lo_ids, d))
+    return min(_extent_along(ints, hi_ids, d, den), _extent_along(ints, lo_ids, d, den))
 
 
 def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
@@ -87,18 +87,22 @@ def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
       such facet P has no edge parallel to d, and lam = 0.
     - Flat P (no facets): group the vertices by their projection along d,
       hull the projections and take the shortest group over a hull vertex.
+
+    Chords are measured on P's vertices scaled to integers by their common
+    denominator den, and divided by den once, in the returned Fraction.
     """
     if p.n != 3:
         raise PreconditionError("segment summands implemented for ambient dimension 3")
     dz = d.z
+    ints, den = integerize(p.vertices)
     if p.dim == 3:
-        return min((_facet_bound(p, f, dz) for f in p.facets
+        return min((_facet_bound(ints, f, dz, den) for f in p.facets
                     if dot(f.normal.z, dz) == 0), default=Fraction(0))
     groups: dict[tuple, list[int]] = {}
-    for i, v in enumerate(p.vertices):
+    for i, v in enumerate(ints):
         groups.setdefault(cross3(v, dz), []).append(i)
     shadow = convex_hull(list(groups))
-    return min(_extent_along(p, groups[k], dz) for k in shadow.vertices)
+    return min(_extent_along(ints, groups[k], dz, den) for k in shadow.vertices)
 
 
 def zonotope_kernel(p: VPolytope) -> VPolytope:

@@ -29,7 +29,8 @@ from afel.geometry import (
     support_set,
     support_value,
 )
-from afel.hull import hull_structure
+from afel.hull import _chain_2d as chain_2d, hull_structure
+from afel.linalg import matrank
 
 from conftest import random_body
 
@@ -338,6 +339,193 @@ def test_summand_of_constructed_sum():
         assert m is not None and minkowski_sum(m, a) == s
 
 
+# ------------------------------------------- seeded summand corpus, R^3 and R^4
+
+
+def _feasibility_oracle(p, q):
+    """The Minkowski difference by the P×Q feasibility scan: the hull of the
+    vertex differences x = v - w with x + Q inside P (every x + w' a point
+    of P), kept only when it sums back to P.  Independent of the vertex
+    pairing in `minkowski_difference`."""
+    feasible = set()
+    for v in p.vertices:
+        for w in q.vertices:
+            x = tuple(a - b for a, b in zip(v, w))
+            if all(contains_point(p, tuple(a + b for a, b in zip(x, u))) for u in q.vertices):
+                feasible.add(x)
+    if not feasible:
+        return None
+    m = convex_hull(feasible)
+    return m if minkowski_sum(m, q) == p else None
+
+
+def _tight_normal_sum(p, i):
+    """The sum of the normals of the facets of a full-dimensional P through
+    its vertex i, a direction interior to the normal cone there."""
+    z = [0] * p.n
+    for f in p.facets:
+        if i in f.vertex_ids:
+            z = [a + b for a, b in zip(z, f.normal.z)]
+    return z
+
+
+def _ambiguous_pairing(p, q):
+    """Whether some vertex v of a full-dimensional P has two maximizers over
+    Q of <., z>, z the sum of the normals of P's facets through v."""
+    for i in range(len(p.vertices)):
+        z = _tight_normal_sum(p, i)
+        heights = [sum(a * b for a, b in zip(w, z)) for w in q.vertices]
+        if heights.count(max(heights)) > 1:
+            return True
+    return False
+
+
+def _random_rationals(rng, n, k):
+    return [tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(n))
+            for _ in range(k)]
+
+
+def _off_direction(rng, p, n, normal=None, tries=None):
+    """A nonzero integer vector parallel to no difference of P's vertices,
+    so no edge of a summand of P can point along it; orthogonal to
+    `normal` when one is given.  None when `tries` draws find none."""
+    diffs = [tuple(a - b for a, b in zip(v, w)) for v, w in itertools.combinations(p.vertices, 2)]
+    for _ in itertools.count() if tries is None else range(tries):
+        if normal is None:
+            s = [rng.randrange(-3, 4) for _ in range(n)]
+        else:
+            # the pairwise rotations z_j e_i - z_i e_j span the orthogonal complement of z
+            s = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                c = rng.randrange(-2, 3)
+                s[i] += c * normal[j]
+                s[j] -= c * normal[i]
+        s = tuple(s)
+        if any(s) and all(matrank([s, d]) == 2 for d in diffs):
+            return s
+    return None
+
+
+def _non_summands(rng, p, q, kinds):
+    """Q changed so that it is no summand of P: plus a segment off P's
+    vertex-difference directions and orthogonal to the tight-normal sum at
+    one of P's vertices (so two vertices of Q maximize it), with a vertex
+    added off those directions, or scaled by 2 (same normal fan, too
+    large)."""
+    n = p.n
+    out = []
+    for kind in kinds:
+        if kind == "segment":
+            s = None
+            while s is None:
+                z = _tight_normal_sum(p, rng.randrange(len(p.vertices)))
+                s = _off_direction(rng, p, n, z, tries=20)
+            out.append((kind, minkowski_sum(q, segment([0] * n, s))))
+        elif kind == "vertex":
+            w = q.vertices[rng.randrange(len(q.vertices))]
+            s = _off_direction(rng, p, n)
+            out.append((kind, convex_hull(list(q.vertices) + [tuple(a + b for a, b in zip(w, s))])))
+        else:
+            out.append((kind, scale_translate(q, 2, _random_rationals(rng, n, 1)[0])))
+    return out
+
+
+_KINDS = ("segment", "vertex", "scaled")
+
+
+def _summand_corpus(seed):
+    """(label, P, Q) pairs: for each random rational M and Q, P = M + Q is
+    tried against Q and M (summands) and against two changed copies of Q;
+    flat P: polygons M + Q in a plane of R^3, and segments in R^4."""
+    rng = random.Random(seed)
+    cases = []
+    for n, bases, m_pts, q_pts in ((3, 8, 5, 4), (4, 4, 5, 3)):
+        for b in range(bases):
+            while True:
+                m = convex_hull(_random_rationals(rng, n, m_pts))
+                q = convex_hull(_random_rationals(rng, n, q_pts))
+                if m.dim == n and q.dim > 0:
+                    break
+            p = minkowski_sum(m, q)
+            cases += [(f"R{n}", p, q), (f"R{n}", p, m)]
+            kinds = (_KINDS[b % 3], _KINDS[(b + 1) % 3])
+            cases += [(f"R{n} {kind}", p, q2) for kind, q2 in _non_summands(rng, p, q, kinds)]
+
+    def up(body, shift):
+        return convex_hull([_apply(PLANE_MAPS[0], v, shift) for v in body.vertices])
+
+    for b in range(6):
+        while True:
+            m2 = convex_hull(_random_rationals(rng, 2, 4))
+            q2 = convex_hull(_random_rationals(rng, 2, 3))
+            if m2.dim == 2 and q2.dim > 0:
+                break
+        p2 = minkowski_sum(m2, q2)
+        c, s = _random_rationals(rng, 3, 2)
+        p = up(p2, c)
+        cases += [("polygon-R3", p, up(q2, s)), ("polygon-R3", p, up(m2, s))]
+        kinds = (_KINDS[b % 3], _KINDS[(b + 1) % 3])
+        cases += [(f"polygon-R3 {kind}", p, up(q3, s))
+                  for kind, q3 in _non_summands(rng, p2, q2, kinds)]
+    for b in range(3):
+        start, d = _random_rationals(rng, 4, 2)
+        if not any(d):
+            d = (1, 0, 0, 0)
+        p = segment(start, _axpy(1, d, start))
+        c = _random_rationals(rng, 4, 1)[0]
+        t = Fraction(rng.randrange(1, 6), 6)
+        cases += [("segment-R4", p, segment(c, _axpy(t, d, c))),
+                  ("segment-R4", p, singleton(c)),
+                  ("segment-R4", p, segment(c, _axpy(1 + t, d, c))),
+                  ("segment-R4", p, segment(c, _axpy(t, _off_direction(rng, p, 4), c)))]
+    return cases
+
+
+def test_minkowski_difference_on_seeded_summand_corpus():
+    """Every pair agrees with the feasibility oracle, in value and in
+    existence.  The exact counts pin the corpus: a third or more of it are
+    summands, and among the full-dimensional non-summands some have a
+    unique vertex pairing, so only the containment check rejects them."""
+    counts = collections.Counter()
+    for label, p, q in _summand_corpus(2024):
+        m = minkowski_difference(p, q)
+        assert m == _feasibility_oracle(p, q), label
+        flat = p.dim < p.n
+        if m is not None:
+            assert flat or not _ambiguous_pairing(p, q), label
+            kind = "summand"
+        elif flat:
+            kind = "none"
+        else:
+            kind = "ambiguous" if _ambiguous_pairing(p, q) else "contained"
+        counts["flat" if flat else "full", kind] += 1
+    assert counts == {("full", "summand"): 24, ("full", "ambiguous"): 8,
+                      ("full", "contained"): 16, ("flat", "summand"): 18,
+                      ("flat", "none"): 18}
+    assert 3 * (counts["full", "summand"] + counts["flat", "summand"]) >= sum(counts.values())
+
+
+
+def test_minkowski_difference_hulls_only_the_difference(monkeypatch):
+    """For a full-dimensional P: no Minkowski sum, one hull when the
+    difference exists and none when it does not."""
+    cases = [(p, q) for _, p, q in _summand_corpus(2024) if p.dim == p.n]
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr("afel.geometry.convex_hull", spy("convex_hull", convex_hull))
+    monkeypatch.setattr("afel.geometry.minkowski_sum", spy("minkowski_sum", minkowski_sum))
+    for p, q in cases:
+        calls.clear()
+        m = minkowski_difference(p, q)
+        assert calls == ({"convex_hull": 1} if m is not None else {})
+
+
 def test_hull_ignores_boundary_subdivision_points():
     cube_pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
     extra = [(1, 0, 0), (0, 1, 0), (2, 2, 1), (1, 2, 2), (0, 0, 1),
@@ -487,29 +675,36 @@ def test_one_hull_structure_call_per_convex_hull(monkeypatch):
         calls.append("convex_hull")
         return convex_hull(points)
 
+    def chain_spy(points):
+        calls.append("chain")
+        return chain_2d(points)
+
     monkeypatch.setattr("afel.hull.hull_structure", hull_spy)
+    monkeypatch.setattr("afel.hull._chain_2d", chain_spy)
     monkeypatch.setattr("afel.geometry.convex_hull", convex_hull_spy)
     third, half = Fraction(1, 3), Fraction(1, 2)
     cube3 = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
     cube4 = list(itertools.product((0, 2), repeat=4))
     cases = [
         # a cube with points on its edges and faces
-        ("body-R3", cube3 + [(1, 0, 0), (1, 1, 0), (2, 1, 1)], 3, 8),
+        ("body-R3", cube3 + [(1, 0, 0), (1, 1, 0), (2, 1, 1)], 3, 8, [3] + ["chain"] * 6),
         # a 4-cube with points on its 3-faces, whose facets are wrapped in R^3
-        ("body-R4", cube4 + [(1, 1, 1, 0), (2, 1, 0, 1)], 4, 16),
+        ("body-R4", cube4 + [(1, 1, 1, 0), (2, 1, 0, 1)], 4, 16, [4] + ["chain"] * 48),
         # a hexagon in the plane x + y + z = 1, with its center and a point
-        # on an edge
+        # on an edge: the monotone chain alone, no edge facets
         ("polygon-R3", [(a, b, 1 - a - b) for a, b in
                         [(2 * third, third), (third, 2 * third), (0, 2 * third), (0, third),
-                         (third, 0), (2 * third, 0), (third, third), (half, half)]], 2, 6),
+                         (third, 0), (2 * third, 0), (third, third), (half, half)]], 2, 6,
+         ["chain"]),
         # a 3-cube in the hyperplane w = x + 2y - z, with its center
-        ("flat-R4", [(x, y, z, x + 2 * y - z) for x, y, z in cube3 + [(1, 1, 1)]], 3, 8),
+        ("flat-R4", [(x, y, z, x + 2 * y - z) for x, y, z in cube3 + [(1, 1, 1)]], 3, 8,
+         [3] + ["chain"] * 6),
     ]
-    for label, pts, dim, nverts in cases:
+    for label, pts, dim, nverts, inner in cases:
         calls.clear()
         p = convex_hull_spy(pts)
         assert (p.dim, len(p.vertices)) == (dim, nverts), label
-        assert calls == ["convex_hull", dim], label
+        assert calls == ["convex_hull"] + inner, label
 
 
 def _flat_corpus(seed, count):

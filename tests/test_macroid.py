@@ -88,6 +88,34 @@ def test_segment_summand_max_against_is_summand():
                     segment((0, 0, 0), vscale(min(above), d.z)), p)
 
 
+
+def test_segment_summand_max_scales_with_rational_similarity():
+    """lam(k*P + x, d) = k*lam(P, d) for rational k > 0 and x, on
+    full-dimensional and flat bodies with fractional coordinates, so the
+    integer chords divide by the common denominator exactly once."""
+    rng = random.Random(4711)
+    third = Fraction(1, 3)
+    full = [scale_translate(minkowski_sum(gen_zonotope(3, 3, s), random_body(rng, 3)),
+                            Fraction(2, 7), (third, 0, Fraction(-5, 4))) for s in range(2)]
+    # a centrally symmetric hexagon in the plane spanned by u and v, and a segment
+    u, v = (Fraction(3, 2), third, 0), (Fraction(1, 2), 2, 1)
+    hexagon = [tuple(a * ui + b * vi for ui, vi in zip(u, v))
+               for a, b in ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1))]
+    flat = [convex_hull(hexagon), segment((Fraction(1, 2), 0, third), (Fraction(-3, 4), 1, 2))]
+    assert [p.dim for p in full + flat] == [3, 3, 2, 1]
+    positive = set()
+    for p in full + flat:
+        dirs = _edge_directions(p) + [Direction.of((1, 2, -1))]
+        for k, x in ((Fraction(5, 3), (Fraction(-1, 2), 4, third)), (7, (0, Fraction(2, 9), 1))):
+            moved = scale_translate(p, k, x)
+            for d in dirs:
+                lam = segment_summand_max(p, d)
+                assert segment_summand_max(moved, d) == k * lam
+                if lam:
+                    positive.add(p.dim)
+    assert positive == {1, 2, 3}
+
+
 def test_zonotope_kernel_examples(unit_cube, tetra):
     zk = zonotope_kernel(unit_cube)
     assert zk == convex_hull([(Fraction(x, 2), Fraction(y, 2), Fraction(z, 2))
