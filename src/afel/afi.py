@@ -11,8 +11,12 @@ V(K,L,C) > 0 as semicriticality by rank tests (Schneider, Convex Bodies,
 2nd ed. 2014, Thm 5.1.8).  The discriminant stays on inclusion-exclusion,
 one table of subset sums, so it checks the measure route independently.
 
-The support witness is unique: the arc ends span R^3, and semicriticality
-keeps L from being a point, so one exact solve finds it (`_arc_solution`).
+The support route reads h_K and h_L only at the arc ends and at the
+directions on an arc orthogonal to an edge e of K or L, +-(N x e) for N
+the normal of the arc's plane: between those directions both support
+functions are linear along the arc (`_arc_constraints`).  The witness is
+unique: the arc ends span R^3, and semicriticality keeps L from being a
+point, so one exact solve finds it (`_arc_solution`).
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .area_measure import ball_support_arcs, mixed_area_diff, mixed_area_measure
+from .area_measure import _arc, _in_arc, ball_support_arcs, mixed_area_diff, mixed_area_measure
 from .criticality import classify
 from .errors import PreconditionError, TheoryViolationError
-from .geometry import Direction, SupportDiff, VPolytope, scale_translate
-from .linalg import dot, primitive, solve_linear, vsub
+from .geometry import Direction, SupportDiff, VPolytope, _edge_directions, scale_translate
+from .linalg import cross3, dot, integerize, primitive, solve_linear, vsub
 from .mixed_volume import _check_tuple, _diff_terms, _inclusion_exclusion
 
 
@@ -101,74 +105,44 @@ def equality_by_measure(k: VPolytope, l: VPolytope,
 
 
 # ---------------------------------------------------------------------------
-# support route: upper envelopes along arcs
-
-
-def _envelope(body: VPolytope, z1: Direction, z2: Direction):
-    """Maximizing vertex of <., (1-t) z1 + t z2> as t runs through [0, 1]:
-    list of (lo, hi, vertex) pieces with rational breakpoints."""
-    pairs = {}
-    for v in body.vertices:
-        pairs[(dot(v, z1.z), dot(v, z2.z))] = v
-    items = sorted(pairs.items())
-    # at t = 0 the maximizer has max a; ties resolved toward larger b
-    (cur_a, cur_b), cur_v = items[-1]
-    pieces = []
-    lo = Fraction(0)
-    while True:
-        nxt = None
-        for (a, b), v in items:
-            if b <= cur_b:
-                continue
-            # crossing of the two support lines
-            t = Fraction(cur_a - a, (cur_a - a) + (b - cur_b))
-            if t <= lo or t >= 1:
-                continue
-            if nxt is None or t < nxt[0] or (t == nxt[0] and b > nxt[1]):
-                nxt = (t, b, a, v)
-        if nxt is None:
-            pieces.append((lo, Fraction(1), cur_v))
-            return pieces
-        t, b, a, v = nxt
-        pieces.append((lo, t, cur_v))
-        lo = t
-        cur_a, cur_b, cur_v = a, b, v
-
-
-def _merged_pieces(k: VPolytope, l: VPolytope, z1: Direction, z2: Direction):
-    """Common refinement of the two envelopes: (lo, hi, v_K, v_L) pieces."""
-    ek = _envelope(k, z1, z2)
-    el = _envelope(l, z1, z2)
-    cuts = sorted({c for lo, hi, _ in ek + el for c in (lo, hi)})
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        vk = next(v for a, b, v in ek if a <= lo and hi <= b)
-        vl = next(v for a, b, v in el if a <= lo and hi <= b)
-        out.append((lo, hi, vk, vl))
-    return out
+# support route: rows at the directions where a support function may break
 
 
 def _arc_constraints(plus: VPolytope, minus: VPolytope, c: VPolytope, constraint):
-    """Stacked exact constraints on the arc support of S(B^3, C, .): each
-    nondegenerate piece of the merged envelopes of plus and minus contributes
-    constraint(z, v_plus, v_minus) -> (row, rhs) at both arc ends z, once."""
-    keys = {}  # a dict keeps the first occurrence of each constraint, in order
+    """Stacked exact constraints on the arc support of S(B^3, C, .): one
+    constraint(z, h_plus(z), h_minus(z)) -> (row, rhs) per direction z where
+    h_plus or h_minus can break along an arc, once over all arcs: its ends
+    and each +-(N x e) in it, N the arc's plane normal and e an edge
+    direction of plus or minus (at a break, F(P, z) has an edge e of P
+    orthogonal to z and not parallel to N)."""
+    edges = [d.z for d in _edge_directions(plus) + _edge_directions(minus)]
+    dirs = {}  # a dict keeps each direction once, in the order found
     for z1, z2 in ball_support_arcs(c).arcs:
-        for lo, hi, vp, vm in _merged_pieces(plus, minus, z1, z2):
-            if lo != hi:
-                keys.update(dict.fromkeys(constraint(z, vp, vm) for z in (z1, z2)))
-    return [row for row, _ in keys], [b for _, b in keys]
+        dirs[z1.z] = dirs[z2.z] = None
+        arc = _arc(z1.z, z2.z)
+        for e in edges:
+            u = cross3(arc[0], e)
+            if not any(u):
+                continue  # e is parallel to N: its face projects to a point
+            if not _in_arc(u, arc):
+                u = (-u[0], -u[1], -u[2])
+                if not _in_arc(u, arc):
+                    continue
+            dirs[primitive(u)] = None
+    ints = [integerize(b.vertices) for b in (plus, minus)]
+    pairs = [constraint(z, *(Fraction(max(dot(v, z) for v in vs), den) for vs, den in ints))
+            for z in dirs]
+    return [row for row, _ in pairs], [b for _, b in pairs]
 
 
-def _homothety_constraint(z: Direction, vk, vl):
+def _homothety_constraint(z: tuple[int, ...], hk: Fraction, hl: Fraction):
     """h_K(z) = a h_L(z) + <x, z>, unknowns (a, x1, x2, x3)."""
-    row = (Fraction(dot(vl, z.z)),) + tuple(Fraction(c) for c in z.z)
-    return row, Fraction(dot(vk, z.z))
+    return (hl,) + z, hk
 
 
-def _linearity_constraint(z: Direction, vp, vm):
+def _linearity_constraint(z: tuple[int, ...], hp: Fraction, hm: Fraction):
     """f(z) = <x, z> for f = h_plus - h_minus, unknowns (x1, x2, x3)."""
-    return tuple(Fraction(c) for c in z.z), Fraction(dot(vp, z.z) - dot(vm, z.z))
+    return z, hp - hm
 
 
 def _arc_solution(plus: VPolytope, minus: VPolytope, c: VPolytope,
@@ -195,8 +169,8 @@ def _arc_solution(plus: VPolytope, minus: VPolytope, c: VPolytope,
 
 def equality_by_support(k: VPolytope, l: VPolytope,
                         c: VPolytope) -> Optional[tuple[Fraction, tuple]]:
-    """Support route: solve for a > 0 and x with h_K = h_{aL+x} on the arcs;
-    sub-arc breakpoints come from the normal fans of K and L."""
+    """Support route: solve for a > 0 and x with h_K = h_{aL+x} on the arcs,
+    read at the arc ends and the edge-orthogonal directions on them."""
     if k.n != 3 or l.n != 3 or c.n != 3:
         raise PreconditionError("support route requires ambient dimension 3")
     if c.dim != 3:

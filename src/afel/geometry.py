@@ -267,6 +267,27 @@ def _directions(p: VPolytope) -> list[Vec]:
     return [vsub(v, v0) for v in p.vertices[1:]]
 
 
+def _edge_directions(p: VPolytope) -> list[Direction]:
+    """Primitive edge directions with a canonical sign (first nonzero > 0)."""
+    dirs: set[tuple[int, ...]] = set()
+    if p.dim == 1:
+        pairs = [(0, 1)]
+    elif p.dim == 2:
+        cyc = p.cycle
+        pairs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+    elif p.dim == 3:
+        pairs = [e.vertex_ids for e in p.edges]
+    else:
+        return []
+    for i, j in pairs:
+        d = primitive(vsub(p.vertices[j], p.vertices[i]))
+        lead = next(c for c in d if c != 0)
+        if lead < 0:
+            d = tuple(-c for c in d)
+        dirs.add(d)
+    return [Direction(d) for d in sorted(dirs)]
+
+
 def dim_pspan(bodies: Sequence[VPolytope]) -> int:
     """dim pspan of the Minkowski sum of the bodies, without forming it."""
     if not bodies:

@@ -21,6 +21,7 @@ from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
     Direction,
     VPolytope,
+    _edge_directions,
     convex_hull,
     diameter_sq,
     is_summand,
@@ -29,29 +30,8 @@ from .geometry import (
     segment,
     singleton,
 )
-from .linalg import cross3, dot, integerize, primitive, vscale, vsub
+from .linalg import cross3, dot, integerize, vscale
 from .numerics import interval_precision, iv_sqrt_frac
-
-
-def _edge_directions(p: VPolytope) -> list[Direction]:
-    """Primitive edge directions with a canonical sign (first nonzero > 0)."""
-    dirs: set[tuple[int, ...]] = set()
-    if p.dim == 1:
-        pairs = [(0, 1)]
-    elif p.dim == 2:
-        cyc = p.cycle
-        pairs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-    elif p.dim == 3:
-        pairs = [e.vertex_ids for e in p.edges]
-    else:
-        return []
-    for i, j in pairs:
-        d = primitive(vsub(p.vertices[j], p.vertices[i]))
-        lead = next(c for c in d if c != 0)
-        if lead < 0:
-            d = tuple(-c for c in d)
-        dirs.add(d)
-    return [Direction(d) for d in sorted(dirs)]
 
 
 def _extent_along(ints, vids: Sequence[int], d: tuple[int, ...], den: int) -> Fraction:

@@ -40,7 +40,7 @@ from .geometry import (
     minkowski_sum_tagged,
     scale_translate,
 )
-from .hull import _shoelace, divergence_volume
+from .hull import divergence_volume
 from .linalg import cross3, cross4, dot, integerize, vsub
 
 
@@ -49,12 +49,11 @@ def volume(p: VPolytope) -> Fraction:
 
     Divergence theorem per facet: (1/n) * sum of offset * vol(projection) /
     |z_drop|; the facet projection volumes are computed once at hull
-    construction and cached on the facets.
+    construction and cached on the facets.  In R^2 a facet is an edge and
+    its stored projected volume that edge's projected length.
     """
     if p.dim < p.n:
         return Fraction(0)
-    if p.n == 2:
-        return _shoelace([p.vertices[i] for i in p.cycle])
     return divergence_volume(((f.offset, f.proj_volume, f.normal.z[f.drop])
                               for f in p.facets), p.n)
 

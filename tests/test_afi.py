@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from afel.afi import (
+    _arc_constraints,
+    _homothety_constraint,
+    _linearity_constraint,
     afi_check,
     degenerate_branch,
     equality_by_measure,
@@ -526,3 +529,75 @@ def test_support_route_refuses_nonpositive_factor(monkeypatch, sym_cube):
                             lambda *args, a=a: (a, 0, 0, 0))
         with pytest.raises(TheoryViolationError, match=f"homothety factor {a} is not positive"):
             equality_by_support(sym_cube, truncated_cube(), sym_cube)
+
+
+# ---------------------------------------------------------------------------
+# the arc rows against the upper-envelope reference
+
+
+def _envelope(body, z1, z2):
+    """Maximizing vertex of <., (1-t) z1 + t z2> as t runs through [0, 1]:
+    list of (lo, hi, vertex) pieces with rational breakpoints."""
+    pairs = {}
+    for v in body.vertices:
+        pairs[(dot(v, z1.z), dot(v, z2.z))] = v
+    items = sorted(pairs.items())
+    # at t = 0 the maximizer has max a; ties resolved toward larger b
+    (cur_a, cur_b), cur_v = items[-1]
+    pieces = []
+    lo = Fraction(0)
+    while True:
+        nxt = None
+        for (a, b), v in items:
+            if b <= cur_b:
+                continue
+            # crossing of the two support lines
+            t = Fraction(cur_a - a, (cur_a - a) + (b - cur_b))
+            if t <= lo or t >= 1:
+                continue
+            if nxt is None or t < nxt[0] or (t == nxt[0] and b > nxt[1]):
+                nxt = (t, b, a, v)
+        if nxt is None:
+            pieces.append((lo, Fraction(1), cur_v))
+            return pieces
+        t, b, a, v = nxt
+        pieces.append((lo, t, cur_v))
+        lo = t
+        cur_a, cur_b, cur_v = a, b, v
+
+
+def _piece_rows(plus, minus, c, constraint):
+    """The reference arc system: each nondegenerate piece of the common
+    refinement of the two envelopes, with maximizers v_plus and v_minus,
+    gives constraint(z, <v_plus, z>, <v_minus, z>) at both arc ends z."""
+    keys = {}
+    for z1, z2 in ball_support_arcs(c).arcs:
+        ep, em = _envelope(plus, z1, z2), _envelope(minus, z1, z2)
+        cuts = sorted({t for lo, hi, _ in ep + em for t in (lo, hi)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            vp = next(v for a, b, v in ep if a <= lo and hi <= b)
+            vm = next(v for a, b, v in em if a <= lo and hi <= b)
+            keys.update(dict.fromkeys(constraint(z.z, dot(vp, z.z), dot(vm, z.z))
+                                      for z in (z1, z2)))
+    return [row for row, _ in keys], [b for _, b in keys]
+
+
+def test_arc_rows_match_the_envelope_reference(sym_cube):
+    # rows at the arc ends and the edge-orthogonal directions have the
+    # solution set of the envelope pieces' rows, so one exact solve gives
+    # the same result on both
+    triples = _equality_triples() + [(sym_cube, truncated_cube(), sym_cube)]
+    rng = random.Random(2020)
+    for _ in range(4):
+        box = _random_box(rng)
+        triples.append((box, _truncate_box(rng, box), box))
+    outcomes = Counter()
+    for k, l, c in triples:
+        for kind, constraint in (("homothety", _homothety_constraint),
+                                 ("linearity", _linearity_constraint)):
+            sol = solve_linear(*_arc_constraints(k, l, c, constraint))
+            assert sol == solve_linear(*_piece_rows(k, l, c, constraint))
+            outcomes[kind, None if sol is None else len(sol[1])] += 1
+    # every outcome is None or one solution with an empty nullspace
+    assert outcomes == {("homothety", 0): 11, ("homothety", None): 8,
+                        ("linearity", 0): 9, ("linearity", None): 10}

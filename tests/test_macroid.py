@@ -7,6 +7,7 @@ from afel.errors import TheoryViolationError
 from afel.generators import gen_admissible_sequence, gen_mixed_body, gen_zonotope
 from afel.geometry import (
     Direction,
+    _edge_directions,
     convex_hull,
     is_summand,
     minkowski_sum,
@@ -18,7 +19,6 @@ from afel.geometry import (
 )
 from afel.linalg import vscale
 from afel.macroid import (
-    _edge_directions,
     admissibility_check,
     ktope_vertex_growth,
     load_admissible_fixture,

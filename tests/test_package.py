@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import afel
@@ -49,3 +50,17 @@ def test_no_unused_imports():
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
                       if name not in used]
     assert offenders == []
+
+
+def test_traced_names_resolve():
+    """Every (module, function) pair in the benchmark tracer's TARGETS names
+    a callable in afel: `afelbench/run.py --trace 1` looks each one up, and
+    a deleted name would stop every traced run."""
+    path = Path(__file__).resolve().parent.parent / "afelbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)]
+    missing = [f"{m}.{f}" for m, f in targets
+               if not callable(getattr(importlib.import_module(f"afel.{m}"), f, None))]
+    assert len(targets) >= 20 and missing == []
