@@ -28,8 +28,9 @@ from typing import Optional, Sequence
 from .area_measure import _arc, _in_arc, ball_support_arcs, mixed_area_diff, mixed_area_measure
 from .criticality import classify
 from .errors import PreconditionError, TheoryViolationError
-from .geometry import Direction, SupportDiff, VPolytope, _edge_directions, scale_translate
-from .linalg import cross3, dot, integerize, primitive, solve_linear, vsub
+from .geometry import (Direction, SupportDiff, VPolytope, _edge_directions, scale_translate,
+                       support_value)
+from .linalg import cross3, dot, primitive, solve_linear, vsub
 from .mixed_volume import _check_tuple, _diff_terms, _inclusion_exclusion
 
 
@@ -118,7 +119,7 @@ def _arc_constraints(plus: VPolytope, minus: VPolytope, c: VPolytope, constraint
     edges = [d.z for d in _edge_directions(plus) + _edge_directions(minus)]
     dirs = {}  # a dict keeps each direction once, in the order found
     for z1, z2 in ball_support_arcs(c).arcs:
-        dirs[z1.z] = dirs[z2.z] = None
+        dirs[z1] = dirs[z2] = None
         arc = _arc(z1.z, z2.z)
         for e in edges:
             u = cross3(arc[0], e)
@@ -128,10 +129,8 @@ def _arc_constraints(plus: VPolytope, minus: VPolytope, c: VPolytope, constraint
                 u = (-u[0], -u[1], -u[2])
                 if not _in_arc(u, arc):
                     continue
-            dirs[primitive(u)] = None
-    ints = [integerize(b.vertices) for b in (plus, minus)]
-    pairs = [constraint(z, *(Fraction(max(dot(v, z) for v in vs), den) for vs, den in ints))
-            for z in dirs]
+            dirs[Direction(primitive(u))] = None
+    pairs = [constraint(z.z, support_value(plus, z), support_value(minus, z)) for z in dirs]
     return [row for row, _ in pairs], [b for _, b in pairs]
 
 
@@ -226,8 +225,8 @@ def is_homothetic(k: VPolytope, l: VPolytope) -> tuple[bool, Optional[tuple]]:
             return True, (Fraction(1), vsub(k.vertices[0], l.vertices[0]))
         return True, None
     z = Direction(primitive(vsub(l.vertices[-1], l.vertices[0])))
-    wl = max(dot(v, z.z) for v in l.vertices) - min(dot(v, z.z) for v in l.vertices)
-    wk = max(dot(v, z.z) for v in k.vertices) - min(dot(v, z.z) for v in k.vertices)
+    wl = support_value(l, z) + support_value(l, -z)
+    wk = support_value(k, z) + support_value(k, -z)
     if wk == 0:
         return False, None
     a = Fraction(wk, wl)

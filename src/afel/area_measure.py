@@ -50,10 +50,11 @@ from .geometry import (
     Vec,
     convex_hull,
     expand_support_diffs,
+    face_vertices,
     minkowski_sum_tagged,
     support_value,
 )
-from .linalg import cross3, cross4, dot, integerize, pivot_columns, primitive, vsub
+from .linalg import cross3, cross4, dot, pivot_columns, primitive, vsub
 
 
 @dataclass(frozen=True)
@@ -151,23 +152,16 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
 
 def _gauss_overlay(k: VPolytope, c: VPolytope) -> AtomicMeasure:
     """S(K, C, .) for two full-dimensional 3-polytopes from the facet normals
-    and edge arcs of their Gauss maps (module docstring).  A face that is not
-    a facet or an edge is found by a scan of integer vertex copies."""
+    and edge arcs of their Gauss maps (module docstring).  The other body's
+    face at a facet normal is read by `face_vertices`, on its image."""
     bodies = (k, c)
-    ints = [integerize(b.vertices)[0] for b in bodies]
-
-    def face(i: int, z: Direction) -> list[Vec]:
-        vals = [dot(v, z.z) for v in ints[i]]
-        h = max(vals)
-        return [bodies[i].vertices[j] for j, x in enumerate(vals) if x == h]
-
     atoms: dict[Direction, Fraction] = {}
     for i, b in enumerate(bodies):
         for f in b.facets:
             z = f.normal
             if z in atoms:
                 continue  # a facet normal of both bodies
-            other = face(1 - i, z)
+            other = face_vertices(bodies[1 - i], z)
             if len(other) == 1:
                 continue
             facet = [b.vertices[v] for v in f.vertex_ids]

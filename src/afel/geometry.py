@@ -10,6 +10,9 @@ its affine hull is injective, where its image is full-dimensional and is cut
 out by facet inequalities (`_facet_chart`); hulls, point membership and
 Minkowski differences of flat bodies all go through that chart.
 
+Faces F(P, z), and with them support values h_P(z), are read in one place
+(`face_vertices`), on the body's integer image, built once (`VPolytope.image`).
+
 Ambient dimensions 2, 3 and 4 are supported.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import hull as _hull
@@ -84,9 +88,10 @@ class VPolytope:
     sorted).  `facets` is populated exactly when dim == n; `edges` when the
     body is a full-dimensional 3-polytope; `cycle` whenever dim == 2 (the
     boundary order of the polygon, possibly embedded in higher dimension).
+    `image` is the vertices' integer image, built on first use.
     """
 
-    __slots__ = ("n", "dim", "vertices", "facets", "edges", "cycle")
+    __slots__ = ("n", "dim", "vertices", "facets", "edges", "cycle", "_image")
 
     def __init__(self, n, dim, vertices, facets=None, edges=None, cycle=None):
         self.n = n
@@ -95,6 +100,14 @@ class VPolytope:
         self.facets = facets
         self.edges = edges
         self.cycle = cycle
+        self._image = None
+
+    @property
+    def image(self) -> tuple[list[tuple[int, ...]], int]:
+        """(ints, den): the vertices times den, their coordinates' lcm denominator."""
+        if self._image is None:
+            self._image = integerize(self.vertices)
+        return self._image
 
     def __eq__(self, other):
         return (isinstance(other, VPolytope) and self.n == other.n
@@ -179,18 +192,23 @@ def segment(a: Sequence, b: Sequence) -> VPolytope:
     return convex_hull([a, b])
 
 
-def support_value(p: VPolytope, z: Direction) -> Fraction:
-    """h_P(z): the exact maximum of <v, z> over vertices (unnormalized)."""
+def face_vertices(p: VPolytope, z: Direction) -> list[Vec]:
+    """The vertices of F(P, z), in P's vertex order, found on P's image."""
     if z.n != p.n:
         raise PreconditionError("direction dimension mismatch")
-    return max(dot(v, z.z) for v in p.vertices)
+    hs = [dot(v, z.z) for v in p.image[0]]
+    top = max(hs)
+    return [v for v, h in zip(p.vertices, hs) if h == top]
+
+
+def support_value(p: VPolytope, z: Direction) -> Fraction:
+    """h_P(z) = <v, z> for a vertex v of F(P, z), exact (unnormalized)."""
+    return num(dot(face_vertices(p, z)[0], z.z))
 
 
 def support_set(p: VPolytope, z: Direction) -> VPolytope:
     """F(P, z): the face of P where the support value is attained."""
-    h = support_value(p, z)
-    attaining = [v for v in p.vertices if dot(v, z.z) == h]
-    return convex_hull(attaining)
+    return convex_hull(face_vertices(p, z))
 
 
 def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:
@@ -440,9 +458,11 @@ def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     """P minus Q in the Minkowski sense: the body M with M + Q = P, or None.
 
     Decided by pairing vertices in P's pivot-coordinate chart
-    (`_facet_chart`), on one integer image of P, Q and P's offsets.  A flat
-    P first needs dir Q inside dir P, a rank test that a full-dimensional P
-    always passes; the chart is then injective on everything involved.
+    (`_facet_chart`), on P's and Q's images over one denominator, with P's
+    maximal heights as offsets: every inequality is tight at a vertex of P.
+    A flat P first needs dir Q inside dir P, a rank test that a
+    full-dimensional P always passes; the chart is then injective on
+    everything involved.
 
     If P = M + Q, P's normal fan refines Q's (Schneider, Convex Bodies,
     2nd ed. 2014, §1.7 and §3.1-3.2): for a vertex v of P, the sum z of the
@@ -458,15 +478,14 @@ def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     if p.dim < p.n and q.dim > 0 and matrank(_directions(p) + _directions(q)) > p.dim:
         return None
     cols, ineqs = _facet_chart(p)
-    nv = len(p.vertices)
-    ints, _ = integerize([tuple(v[c] for c in cols) for v in p.vertices + q.vertices]
-                         + [tuple(b for _, b in ineqs)])
-    offsets = ints[-1]
+    den = lcm(p.image[1], q.image[1])
+    ip, iq = ([tuple(v[c] * (den // d) for c in cols) for v in vs] for vs, d in (p.image, q.image))
     # heights of P's and Q's vertices along each inequality normal
-    hp = [[dot(v, z) for v in ints[:nv]] for z, _ in ineqs]
-    hq = [[dot(w, z) for w in ints[nv:-1]] for z, _ in ineqs]
+    hp = [[dot(v, z) for v in ip] for z, _ in ineqs]
+    hq = [[dot(w, z) for w in iq] for z, _ in ineqs]
+    offsets = [max(h) for h in hp]
     pick = []
-    for i in range(nv):
+    for i in range(len(ip)):
         tight = [k for k, b in enumerate(offsets) if hp[k][i] == b]
         score = [sum(hq[k][j] for k in tight) for j in range(len(q.vertices))]
         top = max(score)

@@ -24,13 +24,14 @@ from .geometry import (
     _edge_directions,
     convex_hull,
     diameter_sq,
+    face_vertices,
     is_summand,
     minkowski_sum_many,
     minkowski_sum_tagged,
     segment,
     singleton,
 )
-from .linalg import cross3, dot, integerize, vscale
+from .linalg import cross3, dot, vscale
 from .numerics import interval_precision, iv_sqrt_frac
 
 
@@ -68,13 +69,13 @@ def segment_summand_max(p: VPolytope, d: Direction) -> Fraction:
     - Flat P (no facets): group the vertices by their projection along d,
       hull the projections and take the shortest group over a hull vertex.
 
-    Chords are measured on P's vertices scaled to integers by their common
-    denominator den, and divided by den once, in the returned Fraction.
+    Chords are measured on P's image (`VPolytope.image`, built once per
+    body) and divided by its denominator once, in the returned Fraction.
     """
     if p.n != 3:
         raise PreconditionError("segment summands implemented for ambient dimension 3")
     dz = d.z
-    ints, den = integerize(p.vertices)
+    ints, den = p.image
     if p.dim == 3:
         return min((_facet_bound(ints, f, dz, den) for f in p.facets
                     if dot(f.normal.z, dz) == 0), default=Fraction(0))
@@ -167,9 +168,7 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
             if i == j:
                 continue
             for f in p.facets:
-                # F(q, z) is a vertex iff one vertex attains h_q(z)
-                vals = [dot(v, f.normal.z) for v in q.vertices]
-                if vals.count(max(vals)) > 1:
+                if len(face_vertices(q, f.normal)) > 1:
                     cross = False
                     witness = witness or ("cross-support", (i, j, f.normal.z))
                     break

@@ -41,7 +41,7 @@ from .geometry import (
     scale_translate,
 )
 from .hull import divergence_volume
-from .linalg import cross3, cross4, dot, integerize, vsub
+from .linalg import cross3, cross4, dot, vsub
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -151,17 +151,16 @@ def mixed_volume_interpolated(bodies: Sequence[VPolytope]) -> Fraction:
 
     One tagged hull, of 1*K_1 + ... + n*K_n, and its pulling triangulation
     serve every node (module docstring): node a moves the vertex tagged t to
-    sum_i a_i v_{i,t_i} and sums |det| over the simplices, in integers over
-    one common denominator."""
+    sum_i a_i v_{i,t_i} and sums |det| over the simplices, in integers: the
+    bodies' images (`VPolytope.image`) over one common denominator."""
     n = _check_tuple(bodies)
     total, tags = minkowski_sum_tagged(
         [scale_translate(b, i + 1, (0,) * n) for i, b in enumerate(bodies)])
     if total.dim < n:
         return Fraction(0)  # every node's sum is flat
     simplices = _pulling_triangulation(total)
-    ints, den = integerize([v for b in bodies for v in b.vertices])
-    stream = iter(ints)
-    coords = [[next(stream) for _ in b.vertices] for b in bodies]
+    den = math.lcm(*(b.image[1] for b in bodies))
+    coords = [[tuple(x * (den // b.image[1]) for x in v) for v in b.image[0]] for b in bodies]
     acc = 0
     for a, sign in _difference_nodes(n):
         pts = [tuple(sum(a[i] * coords[i][t[i]][c] for i in range(n)) for c in range(n))

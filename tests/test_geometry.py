@@ -18,6 +18,7 @@ from afel.geometry import (
     diameter_sq,
     dist_sq_point,
     dim_pspan,
+    face_vertices,
     hausdorff_distance_sq,
     is_summand,
     minkowski_difference,
@@ -30,7 +31,7 @@ from afel.geometry import (
     support_value,
 )
 from afel.hull import _chain_2d as chain_2d, hull_structure
-from afel.linalg import matrank
+from afel.linalg import dot, matrank, primitive
 
 from conftest import random_body
 
@@ -881,3 +882,85 @@ def test_tagged_sum_matches_brute_force(d, data):
             assert tagged == set(support_set(b, z).vertices)
             assert tagged == {x for x in b.vertices if _ip(x, z.z) == h[i]}
 
+
+
+# ---------------------------------------------------------------------------
+# the integer image: reference rational scans
+
+
+def _scan_support_value(p, z):
+    """h_P(z) by a rational scan of P's vertices."""
+    return max(dot(v, z.z) for v in p.vertices)
+
+
+def _scan_face(p, z):
+    """The vertices of F(P, z) by a rational scan, in P's vertex order."""
+    h = _scan_support_value(p, z)
+    return [v for v in p.vertices if dot(v, z.z) == h]
+
+
+def _scan_image(p):
+    """P's vertices times the lcm of their coordinates' denominators."""
+    den = math.lcm(*(Fraction(x).denominator for v in p.vertices for x in v))
+    return [tuple(int(x * den) for x in v) for v in p.vertices], den
+
+
+def _image_corpus(seed):
+    """(label, body) pairs: full-dimensional bodies in R^2 to R^4 with small
+    rational coordinates, in R^3 with coordinates and denominators beyond
+    2^64, flat bodies in R^3 and R^4 (`_flat_corpus`), and segments and
+    points in R^2 to R^4."""
+    rng = random.Random(seed)
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(6):
+            out.append(("small", convex_hull(_random_rationals(rng, n, rng.randrange(n + 1, 9)))))
+    for _ in range(4):
+        pts = [tuple(Fraction(rng.randrange(-2 ** 80, 2 ** 80), rng.randrange(2 ** 64, 2 ** 66))
+                     for _ in range(3)) for _ in range(8)]
+        out.append(("large", convex_hull(pts)))
+    out += [("flat", convex_hull(pts)) for _, _, pts in _flat_corpus(seed, 12)]
+    for n in (2, 3, 4):
+        a, b = _random_rationals(rng, n, 2)
+        out += [("segment", segment(a, b)), ("point", singleton(a))]
+    return out
+
+
+def test_image_readers_against_rational_scans():
+    """`VPolytope.image`, `face_vertices`, `support_value` and `support_set`
+    agree exactly with the rational vertex scans, over every nonzero
+    direction in {-1, 0, 1}^n and every facet normal."""
+    tied = collections.Counter()
+    bodies = _image_corpus(2601)
+    assert {label for label, _ in bodies} == {"small", "large", "flat", "segment", "point"}
+    assert {(p.n, p.dim) for label, p in bodies if label == "flat"} == {(3, 2), (4, 2), (4, 3)}
+    large = [p for label, p in bodies if label == "large"]
+    assert all(p.image[1] > 2 ** 64 and max(abs(x) for v in p.image[0] for x in v) > 2 ** 64
+               for p in large)
+    for label, p in bodies:
+        assert p.image == _scan_image(p) and p.image is p.image, label
+        dirs = {Direction(primitive(s)) for s in itertools.product((-1, 0, 1), repeat=p.n) if any(s)}
+        dirs |= {f.normal for f in p.facets or ()}
+        for z in sorted(dirs, key=lambda d: d.z):
+            h, face = _scan_support_value(p, z), _scan_face(p, z)
+            value = support_value(p, z)
+            assert value == h and isinstance(value, int) == (Fraction(h).denominator == 1)
+            assert face_vertices(p, z) == face
+            assert support_set(p, z) == convex_hull(face)
+            tied[label] += len(face) > 1
+    # faces with more than one vertex, per kind of body
+    assert tied == {"small": 176, "large": 38, "flat": 36, "segment": 8, "point": 0}
+
+
+def test_scaled_body_builds_its_own_image():
+    """scale_translate makes a new body, whose image is read from its own
+    vertices, not carried over from the source body's."""
+    rng = random.Random(2602)
+    for label, p in _image_corpus(2601):
+        assert p.image == _scan_image(p)  # built on the source first
+        a = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+        (x,) = _random_rationals(rng, p.n, 1)
+        q = scale_translate(p, a, x)
+        assert q.image == _scan_image(q), label
+        for z in (Direction((1,) + (0,) * (p.n - 1)), Direction((-1,) * p.n)):
+            assert support_value(q, z) == a * support_value(p, z) + dot(x, z.z), label

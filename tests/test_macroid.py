@@ -1,4 +1,6 @@
+import collections
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from afel.geometry import (
     singleton,
     translate,
 )
-from afel.linalg import vscale
+from afel.linalg import integerize, vscale
 from afel.macroid import (
     admissibility_check,
     ktope_vertex_growth,
@@ -176,6 +178,25 @@ def test_zonotope_kernel_makes_one_summand_check(monkeypatch, unit_cube, tetra):
         assert checks == ([] if zk.dim == 0 else [len(zk.vertices)])
         dims.append(zk.dim)
     assert dims == [3, 0, 3, 3, 3]
+
+
+def test_one_integer_image_per_body(monkeypatch):
+    """zonotope_kernel on Z + B integerizes each body's vertex list once:
+    P's once in all, not once per edge direction, and no point list twice."""
+    p = _zonotope_plus_body_sums()[0]
+    lists = []
+
+    def spy(points):
+        lists.append(points)  # kept alive, so ids stay distinct
+        return integerize(points)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "afel" or name.startswith("afel.")) and vars(mod).get("integerize") is integerize:
+            monkeypatch.setattr(mod, "integerize", spy)
+    zk = zonotope_kernel(p)
+    assert zk.dim == 3 and len(_edge_directions(p)) > 1
+    assert sum(points is p.vertices for points in lists) == 1
+    assert max(collections.Counter(map(id, lists)).values()) == 1
 
 
 def test_zonotope_kernel_refuses_an_oversized_segment(monkeypatch, unit_cube):

@@ -52,6 +52,20 @@ def test_no_unused_imports():
     assert offenders == []
 
 
+def test_only_geometry_imports_integerize():
+    """Outside `linalg`, which defines it, only `geometry` reaches
+    `integerize`: a body's integer image (`VPolytope.image`) is built in one
+    module, and every other module reads it there."""
+    users = set()
+    for path in sorted(Path(afel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "integerize" for a in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "integerize"):
+                users.add(path.stem)
+    assert users == {"geometry"}
+
+
 def test_traced_names_resolve():
     """Every (module, function) pair in the benchmark tracer's TARGETS names
     a callable in afel: `afelbench/run.py --trace 1` looks each one up, and
