@@ -1,6 +1,6 @@
 """Exact rational polytope kernel.
 
-All geometric data lives in vertex representation over Fractions.  Polytopes
+A polytope is stored in vertex representation over Fractions.  Polytopes
 are immutable: the affine dimension, facet structure (full-dimensional bodies
 only) and edge adjacency (3D bodies) are computed once at construction.
 Sphere directions are primitive integer vectors, so equality questions about
@@ -10,8 +10,13 @@ its affine hull is injective, where its image is full-dimensional and is cut
 out by facet inequalities (`_facet_chart`); hulls, point membership and
 Minkowski differences of flat bodies all go through that chart.
 
-Faces F(P, z), and with them support values h_P(z), are read in one place
-(`face_vertices`), on the body's integer image, built once (`VPolytope.image`).
+Every hull is computed on integer points over one positive denominator
+(`_hull_of_image`), and only its vertices, offsets and projected volumes are
+made rational.  `convex_hull` integerizes its input once; Minkowski sums and
+differences form their candidate points on the summands' integer images
+(`VPolytope.image`, built once per body), so no candidate is a Fraction.
+Faces F(P, z) and support values h_P(z) are read on the image too
+(`face_vertices`, `support_value`).
 
 Ambient dimensions 2, 3 and 4 are supported.
 """
@@ -135,46 +140,64 @@ def convex_hull(points: Iterable[Sequence]) -> VPolytope:
         raise PreconditionError(f"ambient dimension {n} outside 2..4")
     if any(len(p) != n for p in pts):
         raise PreconditionError("dimension mismatch among input points")
-    pts = sorted(set(pts))
-    p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts[1:]]
-    cols = pivot_columns(diffs)
+    return _hull_of_image(*integerize(sorted(set(pts))))[0]
+
+
+def _hull_of_image(ints: list[tuple[int, ...]], den: int) -> tuple[VPolytope, list[int]]:
+    """The hull of the points ints / den, and the ids of its vertices in ints.
+
+    ints are sorted, distinct integer tuples and den > 0.  Order, rank and
+    every sign test of the hull are invariant under the common scale den,
+    and normals are primitive, so only the kept vertices, the offsets and
+    the projected volumes are divided by den.
+    """
+    n = len(ints[0])
+    p0 = ints[0]
+    cols = pivot_columns([vsub(p, p0) for p in ints[1:]])
     dim = len(cols)
     if dim == 0:
-        return VPolytope(n, 0, (p0,))
-    if dim == 1:
-        return VPolytope(n, 1, (p0, pts[-1]))
-    # a flat input is hulled in its pivot-coordinate chart: its image there
-    # is full-dimensional, and the chart is injective, so ids carry over
-    chart = pts if dim == n else [tuple(p[c] for c in cols) for p in pts]
-    ints, den = integerize(chart)
-    if dim == 2 < n:
-        # a flat polygon keeps no facets, so it needs only the boundary cycle
-        cyc = _hull._chain_2d(ints)
-        keep = sorted(cyc)
+        keep = [0]
+    elif dim == 1:
+        keep = [0, len(ints) - 1]
     else:
-        h = _hull.hull_structure(ints, dim)
-        keep, cyc = h.vertex_ids, h.cycle
+        # a flat input is hulled in its pivot-coordinate chart: its image there
+        # is full-dimensional, and the chart is injective, so ids carry over
+        chart = ints if dim == n else [tuple(p[c] for c in cols) for p in ints]
+        if dim == 2 < n:
+            # a flat polygon keeps no facets, so it needs only the boundary cycle
+            cyc = _hull._chain_2d(chart)
+            keep = sorted(cyc)
+        else:
+            h = _hull.hull_structure(chart, dim)
+            keep, cyc = list(h.vertex_ids), h.cycle
+    verts = tuple(tuple(_over(x, den) for x in ints[i]) for i in keep)
     remap = {old: new for new, old in enumerate(keep)}
-    verts = tuple(pts[i] for i in keep)
     cycle = _from_min(tuple(remap[i] for i in cyc)) if dim == 2 else None
     if dim < n:
-        return VPolytope(n, dim, verts, cycle=cycle)
+        return VPolytope(n, dim, verts, cycle=cycle), keep
     facets = []
     for f in h.facets:
         ids = tuple(remap[i] for i in f.points)
         ids = _from_min(ids) if n == 3 else tuple(sorted(ids))
-        zdir = Direction(f.normal)
-        offset = num(Fraction(f.offset, den))
         pvol = num(f.proj_volume / den ** (n - 1)) if den != 1 else num(f.proj_volume)
-        facets.append(Facet(zdir, offset, ids, f.drop, pvol))
+        facets.append(Facet(Direction(f.normal), _over(f.offset, den), ids, f.drop, pvol))
     edges = None
     if n == 3:
         edges = tuple(
             Edge(tuple(sorted(remap[i] for i in r.points)), tuple(sorted(r.facets)))
             for r in sorted(h.ridges, key=lambda r: tuple(sorted(remap[i] for i in r.points)))
         )
-    return VPolytope(n, n, verts, tuple(facets), edges, cycle)
+    return VPolytope(n, n, verts, tuple(facets), edges, cycle), keep
+
+
+def _over(x: int, den: int):
+    """x / den as a canonical exact number (`num`)."""
+    return x if den == 1 else num(Fraction(x, den))
+
+
+def _scaled(ints: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+    """An integer image times k: the same points over a k times larger denominator."""
+    return ints if k == 1 else [tuple(x * k for x in v) for v in ints]
 
 
 def _from_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,18 +215,24 @@ def segment(a: Sequence, b: Sequence) -> VPolytope:
     return convex_hull([a, b])
 
 
-def face_vertices(p: VPolytope, z: Direction) -> list[Vec]:
-    """The vertices of F(P, z), in P's vertex order, found on P's image."""
+def _heights(p: VPolytope, z: Direction) -> list[int]:
+    """<v, z> over P's image, in P's vertex order."""
     if z.n != p.n:
         raise PreconditionError("direction dimension mismatch")
-    hs = [dot(v, z.z) for v in p.image[0]]
+    return [dot(v, z.z) for v in p.image[0]]
+
+
+def face_vertices(p: VPolytope, z: Direction) -> list[Vec]:
+    """The vertices of F(P, z), in P's vertex order, found on P's image."""
+    hs = _heights(p, z)
     top = max(hs)
     return [v for v, h in zip(p.vertices, hs) if h == top]
 
 
 def support_value(p: VPolytope, z: Direction) -> Fraction:
-    """h_P(z) = <v, z> for a vertex v of F(P, z), exact (unnormalized)."""
-    return num(dot(face_vertices(p, z)[0], z.z))
+    """h_P(z) = max <v, z> over P's vertices, exact (unnormalized): the top
+    height on P's image over its denominator."""
+    return _over(max(_heights(p, z)), p.image[1])
 
 
 def support_set(p: VPolytope, z: Direction) -> VPolytope:
@@ -212,9 +241,14 @@ def support_set(p: VPolytope, z: Direction) -> VPolytope:
 
 
 def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:
+    """P + Q, hulled from the pairwise sums of P's and Q's images over
+    lcm(den_P, den_Q)."""
     if p.n != q.n:
         raise PreconditionError("ambient dimension mismatch")
-    return convex_hull([vadd(v, w) for v in p.vertices for w in q.vertices])
+    (ip, dp), (iq, dq) = p.image, q.image
+    den = lcm(dp, dq)
+    ip, iq = _scaled(ip, den // dp), _scaled(iq, den // dq)
+    return _hull_of_image(sorted({vadd(v, w) for v in ip for w in iq}), den)[0]
 
 
 def minkowski_sum_many(bodies: Sequence[VPolytope]) -> VPolytope:
@@ -231,6 +265,10 @@ def minkowski_sum_tagged(
     in a direction z is the sum of the faces of the summands,
     F(K+L, z) = F(K, z) + F(L, z), and body j's face is the hull of the
     j-th tags of the vertices on it.
+
+    The fold runs on integer images: each step adds the next summand's image
+    to the partial sum's kept integer vertices, over the lcm of their
+    denominators, and hulls those candidates (`_hull_of_image`).
     """
     if not bodies:
         raise PreconditionError("empty Minkowski sum")
@@ -240,14 +278,20 @@ def minkowski_sum_tagged(
     order = sorted(range(len(bodies)), key=lambda i: len(bodies[i].vertices))
     acc = bodies[order[0]]
     tags = [(j,) for j in range(len(acc.vertices))]
+    rows, den = acc.image
     for i in order[1:]:
-        cand: dict[Vec, Optional[tuple[int, ...]]] = {}
-        for v, t in zip(acc.vertices, tags):
-            for j, w in enumerate(bodies[i].vertices):
+        iw, dw = bodies[i].image
+        step = lcm(den, dw)
+        iw = _scaled(iw, step // dw)
+        cand: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+        for v, t in zip(_scaled(rows, step // den), tags):
+            for j, w in enumerate(iw):
                 p = vadd(v, w)
                 cand[p] = None if p in cand else t + (j,)  # None: two decompositions
-        acc = convex_hull(cand)
-        tags = [cand[v] for v in acc.vertices]
+        ints = sorted(cand)
+        acc, keep = _hull_of_image(ints, step)
+        rows, den = [ints[k] for k in keep], step
+        tags = [cand[v] for v in rows]
         if None in tags:
             raise TheoryViolationError("a vertex of a Minkowski sum has two decompositions")
     slot = {body: k for k, body in enumerate(order)}
@@ -297,8 +341,9 @@ def _edge_directions(p: VPolytope) -> list[Direction]:
         pairs = [e.vertex_ids for e in p.edges]
     else:
         return []
+    ints = p.image[0]
     for i, j in pairs:
-        d = primitive(vsub(p.vertices[j], p.vertices[i]))
+        d = primitive(vsub(ints[j], ints[i]))
         lead = next(c for c in d if c != 0)
         if lead < 0:
             d = tuple(-c for c in d)
@@ -471,7 +516,7 @@ def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     Otherwise M = hull(v - w_v) exactly when, for every inequality
     <y, z_i> <= b_i of P's image, max_v <v - w_v, z_i> + h_Q(z_i) <= b_i:
     that puts M + Q inside P, and every v = (v - w_v) + w_v lies in M + Q.
-    Only that M is hulled.
+    Only that M is hulled, from the paired differences of the images.
     """
     if p.n != q.n:
         raise PreconditionError("ambient dimension mismatch")
@@ -479,7 +524,8 @@ def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
         return None
     cols, ineqs = _facet_chart(p)
     den = lcm(p.image[1], q.image[1])
-    ip, iq = ([tuple(v[c] * (den // d) for c in cols) for v in vs] for vs, d in (p.image, q.image))
+    fp, fq = (_scaled(vs, den // d) for vs, d in (p.image, q.image))
+    ip, iq = ([tuple(v[c] for c in cols) for v in vs] for vs in (fp, fq))
     # heights of P's and Q's vertices along each inequality normal
     hp = [[dot(v, z) for v in ip] for z, _ in ineqs]
     hq = [[dot(w, z) for w in iq] for z, _ in ineqs]
@@ -495,7 +541,7 @@ def minkowski_difference(p: VPolytope, q: VPolytope) -> Optional[VPolytope]:
     for hpk, hqk, b in zip(hp, hq, offsets):
         if max(h - hqk[j] for h, j in zip(hpk, pick)) + max(hqk) > b:
             return None
-    return convex_hull({vsub(v, q.vertices[j]) for v, j in zip(p.vertices, pick)})
+    return _hull_of_image(sorted({vsub(v, fq[j]) for v, j in zip(fp, pick)}), den)[0]
 
 
 def is_summand(q: VPolytope, p: VPolytope) -> bool:

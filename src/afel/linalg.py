@@ -86,7 +86,7 @@ def num(x):
     """Canonical exact number: int when integral, Fraction otherwise."""
     if isinstance(x, int):
         return x
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 

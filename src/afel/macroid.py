@@ -174,16 +174,10 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
                     break
             if not cross:
                 break
-    triples = True
-    for a, b, c in itertools.combinations(range(len(seq)), 3):
-        for da, db, dc in itertools.product(dirs_per_body[a], dirs_per_body[b],
-                                            dirs_per_body[c]):
-            if dot(cross3(da.z, db.z), dc.z) == 0:
-                triples = False
-                witness = witness or ("triple", (a, b, c, da.z, db.z, dc.z))
-                break
-        if not triples:
-            break
+    triple = _coplanar_triple(dirs_per_body)
+    triples = triple is None
+    if not triples:
+        witness = witness or ("triple", triple)
     with interval_precision():
         total = iv.mpf(0)
         for p in seq:
@@ -191,6 +185,21 @@ def admissibility_check(seq: Sequence[VPolytope]) -> AdmissibilityReport:
         diam_sum = (float(total.a), float(total.b))
     return AdmissibilityReport(triangles, full, distinct, cross, triples,
                                diam_sum, witness)
+
+
+def _coplanar_triple(dirs_per_body: Sequence[Sequence[Direction]]) -> Optional[tuple]:
+    """The first (a, b, c, z_a, z_b, z_c) with a < b < c and edge directions
+    z_a, z_b, z_c of bodies a, b, c in one plane, scanning body triples and
+    then direction triples in product order; None when every such triple
+    spans R^3.  Each z_a x z_b is formed once and dotted with every z_c."""
+    for a, b, c in itertools.combinations(range(len(dirs_per_body)), 3):
+        for da in dirs_per_body[a]:
+            for db in dirs_per_body[b]:
+                w = cross3(da.z, db.z)
+                for dc in dirs_per_body[c]:
+                    if dot(w, dc.z) == 0:
+                        return (a, b, c, da.z, db.z, dc.z)
+    return None
 
 
 @dataclass(frozen=True)

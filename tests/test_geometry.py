@@ -13,6 +13,8 @@ from afel.area_measure import ball_polytope
 from afel.errors import PreconditionError
 from afel.geometry import (
     Direction,
+    _edge_directions,
+    _hull_of_image,
     contains_point,
     convex_hull,
     diameter_sq,
@@ -31,7 +33,7 @@ from afel.geometry import (
     support_value,
 )
 from afel.hull import _chain_2d as chain_2d, hull_structure
-from afel.linalg import dot, matrank, primitive
+from afel.linalg import dot, integerize, matrank, primitive, vadd, vsub
 
 from conftest import random_body
 
@@ -509,7 +511,9 @@ def test_minkowski_difference_on_seeded_summand_corpus():
 
 def test_minkowski_difference_hulls_only_the_difference(monkeypatch):
     """For a full-dimensional P: no Minkowski sum, one hull when the
-    difference exists and none when it does not."""
+    difference exists and none when it does not.  That hull is made on the
+    paired integer images, so `convex_hull` is not called at all; every hull
+    goes through `_hull_of_image`."""
     cases = [(p, q) for _, p, q in _summand_corpus(2024) if p.dim == p.n]
     calls = collections.Counter()
 
@@ -520,11 +524,12 @@ def test_minkowski_difference_hulls_only_the_difference(monkeypatch):
         return wrapped
 
     monkeypatch.setattr("afel.geometry.convex_hull", spy("convex_hull", convex_hull))
+    monkeypatch.setattr("afel.geometry._hull_of_image", spy("hull", _hull_of_image))
     monkeypatch.setattr("afel.geometry.minkowski_sum", spy("minkowski_sum", minkowski_sum))
     for p, q in cases:
         calls.clear()
         m = minkowski_difference(p, q)
-        assert calls == ({"convex_hull": 1} if m is not None else {})
+        assert calls == ({"hull": 1} if m is not None else {})
 
 
 def test_hull_ignores_boundary_subdivision_points():
@@ -964,3 +969,150 @@ def test_scaled_body_builds_its_own_image():
         assert q.image == _scan_image(q), label
         for z in (Direction((1,) + (0,) * (p.n - 1)), Direction((-1,) * p.n)):
             assert support_value(q, z) == a * support_value(p, z) + dot(x, z.z), label
+
+
+# ---------------------------------------------------------------------------
+# Minkowski sums on integer images: the rational paths as reference
+
+
+def _fields(p):
+    """Every field of a body, as a repr, so int and Fraction differ."""
+    return repr((p.n, p.dim, p.vertices, p.facets, p.edges, p.cycle))
+
+
+def _rational_sum(p, q):
+    """P + Q as the hull of the pairwise sums of the rational vertices."""
+    return convex_hull([vadd(v, w) for v in p.vertices for w in q.vertices])
+
+
+def _rational_fold(bodies):
+    """The tagged sum folded on rational candidates: each step hulls the sums
+    of the partial sum's vertices and the next body's, keyed by the sums."""
+    order = sorted(range(len(bodies)), key=lambda i: len(bodies[i].vertices))
+    acc = bodies[order[0]]
+    tags = [(j,) for j in range(len(acc.vertices))]
+    for i in order[1:]:
+        cand = {}
+        for v, t in zip(acc.vertices, tags):
+            for j, w in enumerate(bodies[i].vertices):
+                p = vadd(v, w)
+                cand[p] = None if p in cand else t + (j,)
+        acc = convex_hull(cand)
+        tags = [cand[v] for v in acc.vertices]
+        assert None not in tags
+    slot = {body: k for k, body in enumerate(order)}
+    return acc, tuple(tuple(t[slot[b]] for b in range(len(bodies))) for t in tags)
+
+
+def _rational_edge_directions(p):
+    """`_edge_directions` on differences of the rational vertices."""
+    if p.dim == 1:
+        pairs = [(0, 1)]
+    elif p.dim == 2:
+        pairs = [(p.cycle[i - 1], p.cycle[i]) for i in range(len(p.cycle))]
+    else:
+        pairs = [e.vertex_ids for e in p.edges]
+    dirs = set()
+    for i, j in pairs:
+        d = primitive(vsub(p.vertices[j], p.vertices[i]))
+        dirs.add(d if next(c for c in d if c) > 0 else tuple(-c for c in d))
+    return [Direction(d) for d in sorted(dirs)]
+
+
+def _random_points(rng, n, k, dens):
+    """k random points in R^n with coordinates c / d, d drawn from dens."""
+    return [tuple(Fraction(rng.randrange(-6, 7), rng.choice(dens)) for _ in range(n))
+            for _ in range(k)]
+
+
+def _sum_corpus(seed):
+    """(label, body) pairs per ambient dimension: full-dimensional bodies
+    over different denominators, bodies with coordinates and denominators
+    beyond 2^64, flat bodies (`_flat_corpus`), segments and points."""
+    rng = random.Random(seed)
+    out = {2: [], 3: [], 4: []}
+    for n, bodies in out.items():
+        for dens in ((1,), (2,), (3, 9), (2, 5)) if n < 4 else ((2,), (3, 9), (1, 5)):
+            bodies.append(("small", convex_hull(_random_points(rng, n, rng.randrange(n + 1, 7), dens))))
+        for _ in range(2 if n < 4 else 1):
+            pts = [tuple(Fraction(rng.randrange(-2 ** 80, 2 ** 80), rng.randrange(2 ** 64, 2 ** 66))
+                         for _ in range(n)) for _ in range(5)]
+            bodies.append(("large", convex_hull(pts)))
+        for dens in ((1,), (4,)):
+            bodies.append(("segment", segment(*_random_points(rng, n, 2, dens))))
+        bodies.append(("point", singleton(_random_points(rng, n, 1, (3,))[0])))
+    flats = collections.defaultdict(list)
+    for n, k, pts in _flat_corpus(seed, 24):
+        flats[n, k].append(pts)
+    for (n, k), point_lists in sorted(flats.items()):
+        out[n] += [("flat", convex_hull(pts)) for pts in point_lists[:2 if n == 3 else 1]]
+    return out
+
+
+def test_sums_on_images_match_the_rational_paths():
+    """`minkowski_sum`, `minkowski_sum_tagged` and the hull of
+    `minkowski_difference` equal the rational paths in every field and tag;
+    `_edge_directions` equals the scan of rational vertex differences."""
+    corpus = _sum_corpus(2701)
+    assert {(b.n, b.dim) for bodies in corpus.values() for label, b in bodies
+            if label == "flat"} == {(3, 2), (4, 2), (4, 3)}
+    assert all(b.image[1] > 2 ** 64 for bodies in corpus.values() for label, b in bodies
+               if label == "large")
+    rng = random.Random(2702)
+    counts = collections.Counter()
+    for n, bodies in corpus.items():
+        pairs = list(itertools.combinations_with_replacement(bodies, 2))
+        trios = [rng.sample(bodies, 3) for _ in range(6 if n < 4 else 3)]
+        for (la, p), (lb, q) in pairs:
+            s = minkowski_sum(p, q)
+            assert _fields(s) == _fields(_rational_sum(p, q)), (la, lb)
+            m = minkowski_difference(s, q)
+            assert _fields(m) == _fields(convex_hull(p.vertices)), (la, lb)
+            counts["pair", n, s.dim] += 1
+            counts["denominators differ"] += p.image[1] != q.image[1]
+        for trio in [[p, q] for (_, p), (_, q) in pairs[::4]] + [[b for _, b in t] for t in trios]:
+            total, tags = minkowski_sum_tagged(trio)
+            ref, ref_tags = _rational_fold(trio)
+            assert _fields(total) == _fields(ref) and tags == ref_tags
+            counts["fold", len(trio)] += 1
+        for x in [b for _, b in bodies] + [minkowski_sum(p, q) for (_, p), (_, q) in pairs]:
+            if 0 < x.dim and (x.dim < 3 or x.n == 3):
+                assert _edge_directions(x) == _rational_edge_directions(x)
+                counts["edge directions"] += 1
+    # sums by ambient dimension and dimension, folds by summand count
+    assert counts == {
+        ("pair", 2, 0): 1, ("pair", 2, 1): 6, ("pair", 2, 2): 38,
+        ("pair", 3, 0): 1, ("pair", 3, 1): 4, ("pair", 3, 2): 5, ("pair", 3, 3): 56,
+        ("pair", 4, 0): 1, ("pair", 4, 1): 4, ("pair", 4, 2): 3, ("pair", 4, 3): 4,
+        ("pair", 4, 4): 33, "denominators differ": 122,
+        ("fold", 2): 41, ("fold", 3): 15, "edge directions": 137}
+
+
+def test_sums_make_no_rational_hull(monkeypatch):
+    """On rational summands, `minkowski_sum` and `minkowski_sum_tagged` call
+    no `convex_hull`, and integerize only summands' vertex lists (each
+    summand's image, once)."""
+    rng = random.Random(2703)
+    cases = []
+    for n in (2, 3, 4):
+        p, q, r = (convex_hull(_random_points(rng, n, n + 2, dens)) for dens in ((2,), (3,), (1, 5)))
+        cases.append((n, p, q, r))
+    hulls, lists = [], []
+
+    def hull_spy(points):
+        hulls.append(points)
+        return convex_hull(points)
+
+    def integerize_spy(points):
+        lists.append(points)
+        return integerize(points)
+
+    monkeypatch.setattr("afel.geometry.convex_hull", hull_spy)
+    monkeypatch.setattr("afel.geometry.integerize", integerize_spy)
+    for n, p, q, r in cases:
+        assert minkowski_sum(p, q).dim == n
+        assert minkowski_sum_tagged([p, q, r])[0].dim == n
+    assert hulls == []
+    summands = [b.vertices for _, p, q, r in cases for b in (p, q, r)]
+    assert len(lists) == len(summands)
+    assert all(any(x is v for v in summands) for x in lists)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -19,8 +20,9 @@ from afel.geometry import (
     singleton,
     translate,
 )
-from afel.linalg import integerize, vscale
+from afel.linalg import cross3, dot, integerize, primitive, vscale
 from afel.macroid import (
+    _coplanar_triple,
     admissibility_check,
     ktope_vertex_growth,
     load_admissible_fixture,
@@ -307,3 +309,50 @@ def test_growth_report():
     rep = ktope_vertex_growth([box], 1)
     assert not rep.admissible_prefix
     assert rep.max_required_k == 8
+
+
+def _product_triple_scan(dirs_per_body):
+    """The spanning-triples scan with one cross product per direction triple,
+    in `itertools.product` order."""
+    for a, b, c in itertools.combinations(range(len(dirs_per_body)), 3):
+        for da, db, dc in itertools.product(dirs_per_body[a], dirs_per_body[b],
+                                            dirs_per_body[c]):
+            if dot(cross3(da.z, db.z), dc.z) == 0:
+                return (a, b, c, da.z, db.z, dc.z)
+    return None
+
+
+def test_coplanar_triple_matches_the_product_scan():
+    """`_coplanar_triple` finds the same first witness as the product scan,
+    on random direction lists and on the edge directions of sequences whose
+    `admissibility_check` reports it."""
+    rng = random.Random(2704)
+    found = collections.Counter()
+    for _ in range(300):
+        dirs = [[Direction(primitive(v)) for v in
+                 sorted({tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 4))}
+                  - {(0, 0, 0)})]
+                for _ in range(rng.randint(3, 5))]
+        hit = _coplanar_triple(dirs)
+        assert hit == _product_triple_scan(dirs)
+        found["none" if hit is None else "first bodies" if hit[:3] == (0, 1, 2) else "later"] += 1
+    assert found == {"none": 47, "first bodies": 194, "later": 59}
+    # the fixture, a generated sequence and random tetrahedra
+    seqs = [load_admissible_fixture(), gen_admissible_sequence(3, 1)]
+    tetrahedra = []
+    while len(tetrahedra) < 3 * 38:
+        p = convex_hull([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(4)])
+        if p.dim == 3:
+            tetrahedra.append(p)
+    seqs += [tetrahedra[i:i + 3] for i in range(0, len(tetrahedra), 3)]
+    witnesses = collections.Counter()
+    for seq in seqs:
+        dirs = [_edge_directions(p) for p in seq]
+        hit = _product_triple_scan(dirs)
+        rep = admissibility_check(seq)
+        assert _coplanar_triple(dirs) == hit and rep.triples_span == (hit is None)
+        kind = rep.witness[0] if rep.witness else None
+        if kind == "triple":
+            assert rep.witness == ("triple", hit)
+        witnesses[kind] += 1
+    assert witnesses == {None: 6, "cross-support": 13, "edge-direction": 9, "triple": 12}
