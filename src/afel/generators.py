@@ -18,6 +18,7 @@ _BASES = [
     [(12, 0, 0), (4, 11, 0), (-9, 8, 0), (-10, -6, 0), (5, -11, 0),
      (0, 1, 11), (1, 0, -12)],
 ]
+_ADMISSIBLE_ATTEMPTS = 200  # perturbation draws before gen_admissible_sequence gives up
 
 
 def gen_ktope(n: int, k: int, seed: int, span: int = 4) -> VPolytope:
@@ -30,10 +31,9 @@ def gen_ktope(n: int, k: int, seed: int, span: int = 4) -> VPolytope:
     return convex_hull(pts)
 
 
-def gen_body(n: int, seed: int, points: int = 8, span: int = 3,
-             full_dim: bool = True) -> VPolytope:
-    """Random polytope; resamples until full-dimensional when requested."""
-    if full_dim and (span < 1 or points <= n):
+def gen_body(n: int, seed: int, points: int = 8, span: int = 3) -> VPolytope:
+    """Random full-dimensional polytope: resamples until the hull spans R^n."""
+    if span < 1 or points <= n:
         raise PreconditionError(
             f"{points} points in [-{span}, {span}]^{n} never span R^{n}: "
             "needs span >= 1 and more points than the dimension")
@@ -42,7 +42,7 @@ def gen_body(n: int, seed: int, points: int = 8, span: int = 3,
         pts = [tuple(rng.randrange(-span, span + 1) for _ in range(n))
                for _ in range(points)]
         p = convex_hull(pts)
-        if not full_dim or p.dim == n:
+        if p.dim == n:
             return p
 
 
@@ -130,8 +130,7 @@ def gen_quad_tuple_4d(seed: int) -> list[VPolytope]:
     return out
 
 
-def gen_admissible_sequence(m: int, seed: int,
-                            max_attempts: int = 200) -> list[VPolytope]:
+def gen_admissible_sequence(m: int, seed: int) -> list[VPolytope]:
     """Perturbed simplicial polytopes with 4, 5, 6, 7, ... vertices passing
     the admissibility check exactly; rational perturbations stand in for the
     generic rotations (rotations would leave the rational field)."""
@@ -140,7 +139,7 @@ def gen_admissible_sequence(m: int, seed: int,
     if m > len(_BASES):
         raise PreconditionError(f"at most {len(_BASES)} sequence elements supported")
     rng = random.Random(("admissible", m, seed).__repr__())
-    for _ in range(max_attempts):
+    for _ in range(_ADMISSIBLE_ATTEMPTS):
         seq = []
         ok = True
         for i in range(m):

@@ -90,9 +90,14 @@ class Edge:
 
 class VPolytope:
     """Polytope given by its irredundant vertex list (lexicographically
-    sorted).  `facets` is populated exactly when dim == n; `edges` when the
-    body is a full-dimensional 3-polytope; `cycle` whenever dim == 2 (the
-    boundary order of the polygon, possibly embedded in higher dimension).
+    sorted).  `facets` is populated exactly when dim == n, in the hull's
+    order: a facet's `vertex_ids` are a sorted pair in R^2, a cycle from its
+    smallest id, counter-clockwise seen from outside, in R^3, and sorted in
+    R^4.  `edges` is populated when the body is a full-dimensional
+    3-polytope: the sides of the facet cycles, sorted by vertex pair, each
+    with its two facets in increasing order.  `cycle` is populated whenever
+    dim == 2: the counter-clockwise boundary order of the polygon (in its
+    pivot-coordinate chart when embedded in higher dimension), from vertex 0.
     `image` is the vertices' integer image, built on first use.
     """
 
@@ -150,6 +155,12 @@ def _hull_of_image(ints: list[tuple[int, ...]], den: int) -> tuple[VPolytope, li
     every sign test of the hull are invariant under the common scale den,
     and normals are primitive, so only the kept vertices, the offsets and
     the projected volumes are divided by den.
+
+    A polygon's cycle already starts at id 0: the chain starts at the
+    lexicographic minimum ints[0], and the pivot chart keeps lexicographic
+    order, because a coordinate outside the pivot columns is affine in the
+    earlier pivot coordinates.  An R^3 body's edges are the sides of its
+    facet cycles.
     """
     n = len(ints[0])
     p0 = ints[0]
@@ -172,7 +183,7 @@ def _hull_of_image(ints: list[tuple[int, ...]], den: int) -> tuple[VPolytope, li
             keep, cyc = list(h.vertex_ids), h.cycle
     verts = tuple(tuple(_over(x, den) for x in ints[i]) for i in keep)
     remap = {old: new for new, old in enumerate(keep)}
-    cycle = _from_min(tuple(remap[i] for i in cyc)) if dim == 2 else None
+    cycle = tuple(remap[i] for i in cyc) if dim == 2 else None
     if dim < n:
         return VPolytope(n, dim, verts, cycle=cycle), keep
     facets = []
@@ -183,10 +194,13 @@ def _hull_of_image(ints: list[tuple[int, ...]], den: int) -> tuple[VPolytope, li
         facets.append(Facet(Direction(f.normal), _over(f.offset, den), ids, f.drop, pvol))
     edges = None
     if n == 3:
-        edges = tuple(
-            Edge(tuple(sorted(remap[i] for i in r.points)), tuple(sorted(r.facets)))
-            for r in sorted(h.ridges, key=lambda r: tuple(sorted(remap[i] for i in r.points)))
-        )
+        # each edge is a side of exactly two facet cycles
+        sides: dict[tuple[int, int], list[int]] = {}
+        for fid, f in enumerate(facets):
+            ids = f.vertex_ids
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                sides.setdefault((min(a, b), max(a, b)), []).append(fid)
+        edges = tuple(Edge(k, tuple(sides[k])) for k in sorted(sides))
     return VPolytope(n, n, verts, tuple(facets), edges, cycle), keep
 
 
@@ -241,14 +255,9 @@ def support_set(p: VPolytope, z: Direction) -> VPolytope:
 
 
 def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:
-    """P + Q, hulled from the pairwise sums of P's and Q's images over
-    lcm(den_P, den_Q)."""
-    if p.n != q.n:
-        raise PreconditionError("ambient dimension mismatch")
-    (ip, dp), (iq, dq) = p.image, q.image
-    den = lcm(dp, dq)
-    ip, iq = _scaled(ip, den // dp), _scaled(iq, den // dq)
-    return _hull_of_image(sorted({vadd(v, w) for v in ip for w in iq}), den)[0]
+    """P + Q: the two-body fold of `minkowski_sum_tagged`, which hulls the
+    pairwise sums of P's and Q's images over lcm(den_P, den_Q)."""
+    return minkowski_sum_tagged((p, q))[0]
 
 
 def minkowski_sum_many(bodies: Sequence[VPolytope]) -> VPolytope:

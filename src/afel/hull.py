@@ -8,8 +8,12 @@ computation, so coplanar and collinear configurations need no special
 casing.  Each facet is materialized as the full set of input points on its
 supporting hyperplane and projected along its normal's largest coordinate:
 a 3D facet's vertex cycle and area come from the monotone chain of that
-projection, a 4D facet's vertices, ridges and volume from wrapping it in
-R^3.
+projection, a 4D facet's vertices and volume from wrapping it in R^3.
+
+The facet list is the only output.  Ridges only drive and close the wrap:
+a 3D ridge is a side of a facet's vertex cycle, a 4D ridge is the vertex
+cycle of a 2-face (a facet of the facet's R^3 wrap).  Each is pending until
+the facet across it is found, and nothing is recorded about it.
 
 Outputs are combinatorial: indices into the input point list.
 """
@@ -34,16 +38,9 @@ class RawFacet:
 
 
 @dataclass(frozen=True)
-class Ridge:
-    points: tuple[int, ...]
-    facets: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class HullResult:
     vertex_ids: tuple[int, ...]  # sorted
-    facets: tuple[RawFacet, ...]  # the edges for d=2
-    ridges: tuple[Ridge, ...]  # () for d=2; only the 3D ridges are read (VPolytope.edges)
+    facets: tuple[RawFacet, ...]  # in wrap order; the edges (i, j) in cycle order for d=2
     cycle: Optional[tuple[int, ...]] = None  # d=2 only: CCW vertex cycle
 
 
@@ -89,7 +86,7 @@ def _hull_2d(points) -> HullResult:
         drop = 0 if abs(n[0]) >= abs(n[1]) else 1
         plen = Fraction(abs(e[1] if drop == 0 else e[0]))
         facets.append(RawFacet(n, dot(points[i], n), (i, j), drop, plen))
-    return HullResult(tuple(sorted(cycle)), tuple(facets), (), cycle)
+    return HullResult(tuple(sorted(cycle)), tuple(facets), cycle)
 
 
 def _perp_vector(z, basis, d) -> tuple[int, ...]:
@@ -171,16 +168,18 @@ def _facet_substructure(points, onplane, normal, d):
     """Vertices (extreme points), ridges, dropped coordinate and projected
     volume of the facet spanned by the points in `onplane`.  The facet is
     projected by dropping the normal's largest coordinate; a 3D facet's
-    cycle and area come from the monotone chain of the projection, a 4D
-    facet's vertices, ridges and volume from wrapping it in R^3."""
+    cycle and area come from the monotone chain of the projection, its
+    ridges are the cycle's sides.  A 4D facet's vertices and volume come
+    from wrapping it in R^3, its ridges are the vertex cycles of that
+    wrap's facets: the chain drops collinear middles, so the first three
+    points of a ridge span it."""
     j = max(range(d), key=lambda k: abs(normal[k]))
     proj = [tuple(points[i][k] for k in range(d) if k != j) for i in onplane]
     if d == 3:
         cycle = _chain_2d(proj)
         pvol = _shoelace([proj[k] for k in cycle])
         pts = tuple(onplane[k] for k in cycle)
-        ridge_sets = [tuple(sorted((pts[t], pts[(t + 1) % len(pts)])))
-                      for t in range(len(pts))]
+        ridges = [(pts[t], pts[(t + 1) % len(pts)]) for t in range(len(pts))]
         # keep facet cycle consistently oriented CCW as seen from outside
         e0 = vsub(points[pts[1]], points[pts[0]])
         e1 = vsub(points[pts[2]], points[pts[1]])
@@ -191,8 +190,8 @@ def _facet_substructure(points, onplane, normal, d):
         pvol = divergence_volume(((f.offset, f.proj_volume, f.normal[f.drop])
                                   for f in sub.facets), 3)
         pts = tuple(sorted(onplane[k] for k in sub.vertex_ids))
-        ridge_sets = [tuple(sorted(onplane[k] for k in f.points)) for f in sub.facets]
-    return pts, ridge_sets, j, pvol
+        ridges = [tuple(onplane[k] for k in f.points) for f in sub.facets]
+    return pts, ridges, j, pvol
 
 
 def _wrap(points, d) -> HullResult:
@@ -201,7 +200,6 @@ def _wrap(points, d) -> HullResult:
     facets: list[RawFacet] = []
     onplane_flags: list[list[bool]] = []
     pending: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
-    adjacency: list[Ridge] = []
 
     def add_facet(normal, offset) -> int:
         key = (normal, offset)
@@ -217,16 +215,15 @@ def _wrap(points, d) -> HullResult:
             flags.append(on)
             if on:
                 onplane.append(i)
-        pts, ridge_sets, drop, pvol = _facet_substructure(points, onplane, normal, d)
+        pts, ridges, drop, pvol = _facet_substructure(points, onplane, normal, d)
         fid = len(facets)
         facet_key[key] = fid
         facets.append(RawFacet(normal, offset, pts, drop, pvol))
         onplane_flags.append(flags)
-        for rs in ridge_sets:
+        for rs in ridges:
             rkey = frozenset(rs)
             if rkey in pending:
-                other, _ = pending.pop(rkey)
-                adjacency.append(Ridge(rs, (other, fid)))
+                del pending[rkey]
             else:
                 pending[rkey] = (fid, rs)
         return fid
@@ -239,15 +236,7 @@ def _wrap(points, d) -> HullResult:
         facet = facets[fid]
         r0 = points[rpts[0]]
         u1 = vsub(points[rpts[1]], r0)
-        u2 = None
-        if d == 4:
-            for idx in rpts[2:]:
-                cand = vsub(points[idx], r0)
-                if _independent2(u1, cand):
-                    u2 = cand
-                    break
-            if u2 is None:
-                raise TheoryViolationError("ridge does not span d-2 dimensions")
+        u2 = vsub(points[rpts[2]], r0) if d == 4 else None
 
         def plane_normal(v):
             return cross3(u1, v) if d == 3 else cross4(u1, u2, v)
@@ -291,13 +280,4 @@ def _wrap(points, d) -> HullResult:
             raise TheoryViolationError("wrap failed to close ridge")
 
     verts = sorted({i for f in facets for i in f.points})
-    return HullResult(tuple(verts), tuple(facets), tuple(adjacency))
-
-
-def _independent2(u, v) -> bool:
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return True
-    return False
+    return HullResult(tuple(verts), tuple(facets))

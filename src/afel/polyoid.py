@@ -125,12 +125,13 @@ def diam_sum_check(bodies: Sequence[VPolytope]) -> DiamSumReport:
     if not bodies:
         raise PreconditionError("empty body list")
     n = bodies[0].n
+    diams = [geometry.diameter_sq(b) for b in bodies]
     lhs = iv.mpf(0)
-    for b in bodies:
-        lhs += iv_sqrt_frac(geometry.diameter_sq(b))
+    for dsq in diams:
+        lhs += iv_sqrt_frac(dsq)
     total = minkowski_sum_many(list(bodies))
     rhs = iv.sqrt(iv.pi) * n * iv_sqrt_frac(geometry.diameter_sq(total))
-    both_zero = all(geometry.diameter_sq(b) == 0 for b in bodies)
+    both_zero = all(dsq == 0 for dsq in diams)
     holds = both_zero or lhs.b <= rhs.a
     return DiamSumReport((float(lhs.a), float(lhs.b)),
                          (float(rhs.a), float(rhs.b)), bool(holds))

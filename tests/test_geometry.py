@@ -598,6 +598,17 @@ def _brute_force_hull(pts):
     return verts, facets
 
 
+def _turn(a, b, c, normal=None):
+    """Orientation of the turn a -> b -> c: the plane's cross product, or in
+    R^3 the cross product's component along the normal."""
+    u = [y - x for x, y in zip(a, b)]
+    v = [y - x for x, y in zip(b, c)]
+    if normal is None:
+        return u[0] * v[1] - u[1] * v[0]
+    w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return sum(x * y for x, y in zip(w, normal))
+
+
 def _point_sets(d):
     coord_d = st.integers(min_value=-3, max_value=3)
     return st.lists(st.tuples(*[coord_d] * d), min_size=d + 1, max_size=12, unique=True)
@@ -615,11 +626,31 @@ def test_hull_matches_brute_force(d, data):
     assert p.dim == d
     assert set(p.vertices) == verts
     assert {(f.normal.z, f.offset) for f in p.facets} == facets
+    on_sets = []
     for f in p.facets:
         on = {v for v in verts if sum(a * b for a, b in zip(f.normal.z, v)) == f.offset}
         assert {p.vertices[i] for i in f.vertex_ids} == on
-    if d == 3:
+        on_sets.append({p.vertices.index(v) for v in on})
+    # the id conventions: sorted pairs and a cycle from 0 in R^2, cycles from
+    # their smallest id in R^3, sorted ids in R^4; every cycle counter-clockwise
+    if d == 2:
+        assert all(a < b for a, b in (f.vertex_ids for f in p.facets))
+        assert p.cycle[0] == 0 and sorted(p.cycle) == list(range(len(p.vertices)))
+        cyc = [p.vertices[i] for i in p.cycle]
+        assert all(_turn(cyc[k - 2], cyc[k - 1], cyc[k]) > 0 for k in range(len(cyc)))
+    elif d == 3:
+        for f in p.facets:
+            c = [p.vertices[i] for i in f.vertex_ids]
+            assert f.vertex_ids[0] == min(f.vertex_ids)
+            assert all(_turn(c[k - 2], c[k - 1], c[k], f.normal.z) > 0 for k in range(len(c)))
+        # an edge is a pair of facets sharing exactly two vertices
+        edges = sorted((tuple(sorted(on_sets[i] & on_sets[j])), (i, j))
+                       for i, j in itertools.combinations(range(len(p.facets)), 2)
+                       if len(on_sets[i] & on_sets[j]) == 2)
+        assert [(e.vertex_ids, e.facet_ids) for e in p.edges] == edges
         assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
+    else:
+        assert all(list(f.vertex_ids) == sorted(f.vertex_ids) for f in p.facets)
 
 
 # ------------------------------------------------- 3D hulls of many points
@@ -777,9 +808,12 @@ def test_flat_hulls_against_brute_force_of_chart_image():
             assert p.cycle is None
             continue
         counts["triangle" if len(verts) == 3 else "polygon"] += 1
-        # the cycle visits every vertex once, from id 0, along the hull's edges
+        # the cycle visits every vertex once, from id 0, along the hull's edges,
+        # counter-clockwise in the chart
         assert p.cycle[0] == 0 and sorted(p.cycle) == list(range(len(p.vertices)))
         assert len(p.cycle) == len(facets)
+        cyc = [chart_of[p.vertices[i]] for i in p.cycle]
+        assert all(_turn(cyc[i - 2], cyc[i - 1], cyc[i]) > 0 for i in range(len(cyc)))
         for a, b in zip(p.cycle, p.cycle[1:] + p.cycle[:1]):
             ya, yb = chart_of[p.vertices[a]], chart_of[p.vertices[b]]
             assert any(sum(x * y for x, y in zip(z, ya)) == h == sum(x * y for x, y in zip(z, yb))

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import afel
@@ -78,3 +80,13 @@ def test_traced_names_resolve():
     missing = [f"{m}.{f}" for m, f in targets
                if not callable(getattr(importlib.import_module(f"afel.{m}"), f, None))]
     assert len(targets) >= 20 and missing == []
+
+
+def test_benchmark_selftest_passes():
+    """`afelbench/selftest.py` exits 0: the benchmark's checks reject planted
+    wrong values and every workload runs on its smoke instances.  It is the
+    one test of the tracer's reads of `HullResult.vertex_ids` and of
+    `minkowski_sum`'s arguments."""
+    script = Path(__file__).resolve().parent.parent / "afelbench" / "selftest.py"
+    r = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
