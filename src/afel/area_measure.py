@@ -5,24 +5,32 @@ rationalized weights: the measure of the unit direction z/|z| is w(z)*|z|,
 so that integrals of support functions against the measure stay rational.
 
 The weight at a direction z is the (n-1)-dim mixed volume of the summand
-faces F(K_i, z) (`_face_weight`): the same measure integral one dimension
-lower, down to the 2D width, so no mixed-volume route or `volume` is called.
-When some F(K_i, z) is a single vertex the weight is exactly 0, because a
-mixed volume with a point argument vanishes (it is translation invariant
-and homogeneous in each argument), so that direction is skipped.
+faces F(K_i, z) (`_face_weight`; Schneider, Convex Bodies, 2nd ed. 2014,
+§5.1), read on integer rows of the bodies' images (`VPolytope.image`), so
+no mixed-volume route or `volume` is called.  In R^3 it is the planar
+measure integral one dimension lower, as one integer sum over the sides of
+one projected face's cycle (`_mixed_area_2d`), with no hull of the other
+face; in R^4 the projected faces are hulled and integrated against their
+R^3 measure.  The planar measure S(P, .) in R^2 reads the same sides
+(`_side_normals`).  When some F(K_i, z) is a single vertex the weight is
+exactly 0, because a mixed volume with a point argument vanishes (it is
+translation invariant and homogeneous in each argument), so that direction
+is skipped.
 
-The atoms and their faces are found on one of two paths.
+The atoms and their faces in R^3 and R^4 are found on one of two paths.
 
 - Two full-dimensional bodies in R^3: the overlay of their Gauss maps
   (Fogel and Halperin, Computer-Aided Design 39, 2007), restricted to what
-  the measure reads, with no Minkowski sum (`_gauss_overlay`).  An atom
-  sits only where F(K, z) + F(C, z) is 2-dimensional: at a facet normal of
-  K or of C, where the faces are that facet and the other body's face; or
-  where an edge arc of K's Gauss map crosses one of C's in both relative
-  interiors, where the faces are the two edges.  Arcs on one great circle
-  meet only at facet normals.
+  the measure reads, with no Minkowski sum and no hull (`_gauss_overlay`).
+  An atom sits only where F(K, z) + F(C, z) is 2-dimensional: at a facet
+  normal of K or of C, where the faces are that facet and the other body's
+  face; or where an edge arc of K's Gauss map crosses one of C's in both
+  relative interiors, where the faces are the two edges.  Arcs on one great
+  circle meet only at facet normals.  A pair of arcs is tested only when
+  the ends of K's arc lie strictly on opposite sides of the plane of C's,
+  which every crossing needs.
 - Every other tuple (a flat body, a segment or a point in R^3, and every
-  tuple in R^2 and R^4): the facets of the sum K_1 + ... + K_{n-1}, whose
+  tuple in R^4): the facets of the sum K_1 + ... + K_{n-1}, whose
   summand faces are read off its vertex tags (`minkowski_sum_tagged`):
   F(K_1 + ... + K_{n-1}, z) is the sum of the F(K_i, z), so body i's face
   is the hull of the i-th tags of the facet's vertices, and no body is
@@ -39,8 +47,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, sqrt
-from typing import Sequence
+from math import gcd, isqrt, prod, sqrt
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, TheoryViolationError
 from .geometry import (
@@ -50,10 +58,11 @@ from .geometry import (
     Vec,
     convex_hull,
     expand_support_diffs,
-    face_vertices,
+    face_ids,
     minkowski_sum_tagged,
     support_value,
 )
+from .hull import _chain_2d
 from .linalg import cross3, cross4, dot, pivot_columns, primitive, vsub
 
 
@@ -96,22 +105,59 @@ class AtomicMeasure:
         return sum(float(w) * sqrt(z.norm_sq()) for z, w in self.atoms.items())
 
 
-def _face_weight(faces: Sequence[Sequence[Vec]], z: Direction) -> Fraction:
+Rows = Sequence[tuple[int, ...]]
+
+
+def _face_weight(faces: Sequence[tuple[Rows, int]], z: Direction) -> Fraction:
     """Rationalized weight w(z) = v(F_1,...,F_{n-1}) / |z| of the summand
-    faces F_i = F(K_i, z), given by their vertices, computed in the
-    coordinate projection that drops the largest normal component, as the
-    (n-1)-dim measure integral (1/(n-1)) * int h_{F_{n-1}} dS(F_1,...,F_{n-2},.);
-    the base case n = 2 is the width of the one face."""
-    if any(len(f) == 1 for f in faces):
+    faces F_i = F(K_i, z), each given as (rows, den): its vertices times den,
+    as integer rows of its body's image.
+
+    The mixed volume is taken in the coordinate projection that drops the
+    largest normal component j, which scales (n-1)-volumes by |z_j| / |z|,
+    and it is multilinear, so each face keeps its own denominator.  In R^3 it
+    is the integer edge sum of `_mixed_area_2d`; in R^4 it is the measure
+    integral (1/3) * int h_{F_3} dS(F_1, F_2, .) of the projected faces'
+    hulls in R^3.
+    """
+    if any(len(rows) == 1 for rows, _ in faces):
         return Fraction(0)  # a point argument: the mixed volume is 0
     n = z.n
     j = max(range(n), key=lambda k: abs(z.z[k]))
-    if n == 2:
-        coords = [v[1 - j] for v in faces[0]]
-        return Fraction(max(coords) - min(coords), abs(z.z[j]))
-    proj = [convex_hull([v[:j] + v[j + 1:] for v in f]) for f in faces]
-    h = mixed_area_measure(proj[:-1]).integrate_support(proj[-1])
-    return Fraction(h, (n - 1) * abs(z.z[j]))
+    proj = [[v[:j] + v[j + 1:] for v in rows] for rows, _ in faces]
+    scale = (n - 1) * abs(z.z[j]) * prod(den for _, den in faces)
+    if n == 3:
+        return Fraction(_mixed_area_2d(*proj), scale)
+    hulls = [convex_hull(f) for f in proj]
+    return Fraction(mixed_area_measure(hulls[:-1]).integrate_support(hulls[-1]), scale)
+
+
+def _mixed_area_2d(p: Rows, q: Rows) -> int:
+    """2 V(P, Q) for planar integer point sets: int h_Q dS(P, .), the sum of
+    h_Q(m_e) over the sides e of P's counter-clockwise cycle (`_chain_2d`),
+    with m_e the side's outer normal as long as the side (gcd(e) times the
+    primitive one).  A segment's cycle has two sides, one each way, and no
+    hull of Q is needed."""
+    return sum(max(x * a + y * b for x, y in q) for a, b in _side_normals(p, _chain_2d(p)))
+
+
+def _side_normals(rows: Rows, cycle: Sequence[int]) -> list[tuple[int, int]]:
+    """The outer normals (e_y, -e_x) of the sides e of a counter-clockwise
+    planar cycle through the rows, each as long as its side."""
+    pts = [rows[i] for i in cycle]
+    return [(b[1] - a[1], a[0] - b[0]) for a, b in zip(pts, pts[1:] + pts[:1])]
+
+
+def _planar_measure(p: VPolytope) -> AtomicMeasure:
+    """S(P, .) in R^2: an atom at each side's primitive outer normal z,
+    weighing the side's length over |z|, the gcd of its `_side_normals` row
+    over the image's denominator.  A polygon's sides follow
+    `VPolytope.cycle`; a segment's two sides start from its vertex 1."""
+    if p.dim == 0:
+        return AtomicMeasure({})
+    ints, den = p.image
+    return AtomicMeasure({Direction(primitive(m)): Fraction(gcd(*m), den)
+                          for m in _side_normals(ints, p.cycle if p.dim == 2 else (1, 0))})
 
 
 def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
@@ -127,14 +173,15 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
         raise PreconditionError("ambient dimension mismatch")
     if len(bodies) != n - 1:
         raise PreconditionError(f"mixed area measure in R^{n} needs {n - 1} bodies")
+    if n == 2:
+        return _planar_measure(bodies[0])
     if n == 3 and all(b.dim == 3 for b in bodies):
         return _gauss_overlay(*bodies)
     total, tags = minkowski_sum_tagged(bodies)
     atoms: dict[Direction, Fraction] = {}
     if total.dim == n:
         for f in total.facets:
-            faces = [[b.vertices[t] for t in {tags[v][i] for v in f.vertex_ids}]
-                     for i, b in enumerate(bodies)]
+            faces = [_face(b, {tags[v][i] for v in f.vertex_ids}) for i, b in enumerate(bodies)]
             w = _face_weight(faces, f.normal)
             if w != 0:
                 atoms[f.normal] = w
@@ -142,7 +189,7 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
         # flat tuple: all the area sits on the two normals of its hyperplane,
         # and each body is its own face in both
         normal = _hyperplane_normal(total)
-        faces = [b.vertices for b in bodies]
+        faces = [b.image for b in bodies]
         for z in (Direction(normal), Direction(tuple(-c for c in normal))):
             w = _face_weight(faces, z)
             if w != 0:
@@ -152,28 +199,43 @@ def mixed_area_measure(bodies: Sequence[VPolytope]) -> AtomicMeasure:
 
 def _gauss_overlay(k: VPolytope, c: VPolytope) -> AtomicMeasure:
     """S(K, C, .) for two full-dimensional 3-polytopes from the facet normals
-    and edge arcs of their Gauss maps (module docstring).  The other body's
-    face at a facet normal is read by `face_vertices`, on its image."""
+    and edge arcs of their Gauss maps (module docstring).  Faces are rows of
+    the bodies' images: the other body's face at a facet normal is read by
+    `face_ids`.
+
+    An edge arc e = pos{z_1, z_2} of K is tested against an arc f of C only
+    when <N_f, z_1> and <N_f, z_2> have strictly opposite signs, N_f the
+    normal of f's plane.  That filter drops no crossing: a crossing x, on f's
+    circle and x = a*z_1 + b*z_2 with a, b > 0, has
+    a*<N_f, z_1> + b*<N_f, z_2> = <N_f, x> = 0, so the two signs are
+    strictly opposite, or both 0, when the arcs lie on one great circle and
+    meet only at facet normals.
+    """
     bodies = (k, c)
     atoms: dict[Direction, Fraction] = {}
     for i, b in enumerate(bodies):
+        other = bodies[1 - i]
         for f in b.facets:
             z = f.normal
             if z in atoms:
                 continue  # a facet normal of both bodies
-            other = face_vertices(bodies[1 - i], z)
-            if len(other) == 1:
+            ids = face_ids(other, z)
+            if len(ids) == 1:
                 continue
-            facet = [b.vertices[v] for v in f.vertex_ids]
-            atoms[z] = _face_weight([facet, other] if i == 0 else [other, facet], z)
-    arcs_k, arcs_c = ([(_arc(z1.z, z2.z), [b.vertices[v] for v in e.vertex_ids])
+            facet, face = _face(b, f.vertex_ids), _face(other, ids)
+            atoms[z] = _face_weight([facet, face] if i == 0 else [face, facet], z)
+    arcs_k, arcs_c = ([(_arc(z1.z, z2.z), _face(b, e.vertex_ids))
                        for (z1, z2), e in zip(ball_support_arcs(b).arcs, b.edges)]
                       for b in bodies)
-    for arc_e, edge_e in arcs_k:
-        for arc_f, edge_f in arcs_c:
+    normals = [f.normal.z for f in k.facets]
+    # sides[f][i]: the side of arc f's plane that K's facet normal i lies on
+    sides = [[_sign(dot(arc_f[0], u)) for u in normals] for arc_f, _ in arcs_c]
+    for (arc_e, edge_e), e in zip(arcs_k, k.edges):
+        ea, eb = e.facet_ids  # the facets whose normals end arc e
+        for (arc_f, edge_f), side in zip(arcs_c, sides):
+            if side[ea] * side[eb] >= 0:
+                continue  # arc e does not cross f's circle inside (docstring)
             x = cross3(arc_e[0], arc_f[0])
-            if not any(x):
-                continue  # one great circle: the arcs meet only at facet normals
             if not _in_arc(x, arc_e, strict=True):
                 x = (-x[0], -x[1], -x[2])
                 if not _in_arc(x, arc_e, strict=True):
@@ -185,6 +247,16 @@ def _gauss_overlay(k: VPolytope, c: VPolytope) -> AtomicMeasure:
     return AtomicMeasure(atoms)
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _face(b: VPolytope, ids: Iterable[int]) -> tuple[Rows, int]:
+    """The face of b through the vertex ids, as (rows, den) of b's image."""
+    ints, den = b.image
+    return [ints[v] for v in ids], den
+
+
 def _hyperplane_normal(flat: VPolytope) -> tuple[int, ...]:
     """Primitive normal of the hyperplane of an (n-1)-dimensional body: the
     generalized cross product of n-1 independent vertex differences (the
@@ -192,9 +264,6 @@ def _hyperplane_normal(flat: VPolytope) -> tuple[int, ...]:
     v0 = flat.vertices[0]
     diffs = [vsub(v, v0) for v in flat.vertices[1:]]
     basis = [diffs[i] for i in pivot_columns(list(zip(*diffs)))]
-    if flat.n == 2:
-        (d,) = basis
-        return primitive((-d[1], d[0]))
     return primitive(cross3(*basis) if flat.n == 3 else cross4(*basis))
 
 

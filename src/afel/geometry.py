@@ -16,7 +16,7 @@ made rational.  `convex_hull` integerizes its input once; Minkowski sums and
 differences form their candidate points on the summands' integer images
 (`VPolytope.image`, built once per body), so no candidate is a Fraction.
 Faces F(P, z) and support values h_P(z) are read on the image too
-(`face_vertices`, `support_value`).
+(`face_ids`, `face_vertices`, `support_value`).
 
 Ambient dimensions 2, 3 and 4 are supported.
 """
@@ -236,11 +236,16 @@ def _heights(p: VPolytope, z: Direction) -> list[int]:
     return [dot(v, z.z) for v in p.image[0]]
 
 
-def face_vertices(p: VPolytope, z: Direction) -> list[Vec]:
-    """The vertices of F(P, z), in P's vertex order, found on P's image."""
+def face_ids(p: VPolytope, z: Direction) -> list[int]:
+    """The ids of F(P, z)'s vertices, in P's vertex order, found on P's image."""
     hs = _heights(p, z)
     top = max(hs)
-    return [v for v, h in zip(p.vertices, hs) if h == top]
+    return [i for i, h in enumerate(hs) if h == top]
+
+
+def face_vertices(p: VPolytope, z: Direction) -> list[Vec]:
+    """The vertices of F(P, z), in P's vertex order (`face_ids`)."""
+    return [p.vertices[i] for i in face_ids(p, z)]
 
 
 def support_value(p: VPolytope, z: Direction) -> Fraction:
@@ -404,23 +409,36 @@ def contains_point(p: VPolytope, x: Sequence) -> bool:
     """Whether x lies in P: on aff(P), a rank test needed only when P is
     flat, and inside P's inequalities in its pivot-coordinate chart."""
     xv = as_vec(x)
-    if p.dim < p.n and matrank(_directions(p) + [vsub(xv, p.vertices[0])]) > p.dim:
-        return False
-    cols, ineqs = _facet_chart(p)
+    return _on_aff(p, xv) and _in_chart(_facet_chart(p), xv)
+
+
+def _on_aff(p: VPolytope, xv: Vec) -> bool:
+    """Whether x lies on aff(P): always when P is full-dimensional."""
+    return p.dim == p.n or matrank(_directions(p) + [vsub(xv, p.vertices[0])]) == p.dim
+
+
+def _in_chart(chart, xv: Vec) -> bool:
+    """Whether x meets the inequalities of a `_facet_chart`, in its columns."""
+    cols, ineqs = chart
     y = tuple(xv[c] for c in cols)
     return all(dot(y, z) <= b for z, b in ineqs)
 
 
 def dist_sq_point(p: VPolytope, x: Sequence) -> Fraction:
-    """Exact squared Euclidean distance from a point to the polytope.
+    """Exact squared Euclidean distance from a point to the polytope."""
+    return _dist_sq_point(p, _facet_chart(p), as_vec(x))
+
+
+def _dist_sq_point(p: VPolytope, chart, xv: Vec) -> Fraction:
+    """`dist_sq_point` with P's `_facet_chart` given, so that a caller reading
+    many points against one flat body hulls its chart once.
 
     Enumerates affinely independent vertex subsets; a candidate projection is
     certified globally optimal by the KKT condition <x - y, w - y> <= 0 for
     every vertex w, which convexity makes sufficient.
     """
-    xv = as_vec(x)
     verts = p.vertices
-    if contains_point(p, xv):
+    if _on_aff(p, xv) and _in_chart(chart, xv):
         return Fraction(0)
     for size in range(1, min(p.dim + 2, len(verts) + 1)):
         for sub in itertools.combinations(verts, size):
@@ -464,10 +482,10 @@ def hausdorff_distance_sq(p: VPolytope, q: VPolytope) -> Fraction:
     if p.n != q.n:
         raise PreconditionError("ambient dimension mismatch")
     best = Fraction(0)
-    for v in p.vertices:
-        best = max(best, dist_sq_point(q, v))
-    for w in q.vertices:
-        best = max(best, dist_sq_point(p, w))
+    for body, other in ((q, p), (p, q)):
+        chart = _facet_chart(body)  # once per body: a flat body's chart is a hull
+        for v in other.vertices:
+            best = max(best, _dist_sq_point(body, chart, v))
     return best
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -16,12 +17,14 @@ from afel.area_measure import (
     mixed_area_measure,
     significant_atoms,
 )
+from afel.area_measure import _arc, _face_weight, _gauss_overlay, _in_arc
 from afel.errors import PreconditionError, TheoryViolationError
 from afel.generators import gen_zonotope
 from afel.geometry import (
     Direction,
     SupportDiff,
     convex_hull,
+    face_ids,
     minkowski_sum,
     minkowski_sum_tagged,
     scale_translate,
@@ -29,7 +32,7 @@ from afel.geometry import (
     singleton,
     support_set,
 )
-from afel.linalg import cross3, vadd, vsub
+from afel.linalg import cross3, dot, matrank, primitive, vadd, vsub
 from afel.mixed_volume import mixed_volume
 
 from conftest import block_in_afel, patch_in_afel, random_body, truncated_cube
@@ -345,9 +348,8 @@ def test_overlay_integrates_to_mixed_volume():
 
 
 def test_overlay_hulls_no_sum(monkeypatch, sym_cube):
-    """A full-dimensional pair in R^3 forms no Minkowski sum and hulls no
-    point of R^3: the only hulls left are the projected faces of
-    `_face_weight`, in R^2."""
+    """A full-dimensional pair in R^3 forms no Minkowski sum and hulls
+    nothing: each weight is an integer edge sum on the faces' image rows."""
     rng = random.Random(1820)
     pairs = [(sym_cube, truncated_cube()), (ball_polytope(50), sym_cube)]
     pairs += [(random_body(rng, 3, 7, full_dim=True), random_body(rng, 3, 7, full_dim=True))
@@ -368,6 +370,245 @@ def test_overlay_hulls_no_sum(monkeypatch, sym_cube):
     block_in_afel(monkeypatch, "the overlay", (minkowski_sum,))
     for p, m in zip(pairs, expected):
         assert mixed_area_measure(p) == m
-    assert hulls and set(hulls) == {2}
-    # a one-polygon "sum" in R^2 inside `_face_weight` hulls nothing
-    assert sums and all(s == [2] for s in sums)
+    assert hulls == [] and sums == []
+
+
+# ------------------------------------------ integer facet weights
+
+
+def _facet_width_measure(p):
+    """S(P, .) in R^2 as a dict in insertion order, from P's facets: an
+    atom at each facet normal z, weighing the facet's width along the coordinate kept when dropping z's largest
+    component j, over |z_j|; a segment v_0 v_1 has its atoms at the normal
+    (-d_1, d_0) of d = v_1 - v_0 and then at its negative."""
+    if p.dim == 2:
+        items = [(f.normal, [p.vertices[i] for i in f.vertex_ids]) for f in p.facets]
+    elif p.dim == 1:
+        d = vsub(p.vertices[1], p.vertices[0])
+        z = Direction.of((-d[1], d[0]))
+        items = [(z, p.vertices), (-z, p.vertices)]
+    else:
+        items = []
+    atoms = {}
+    for z, verts in items:
+        j = max(range(2), key=lambda k: abs(z.z[k]))
+        coords = [v[1 - j] for v in verts]
+        atoms[z] = Fraction(max(coords) - min(coords), abs(z.z[j]))
+    return atoms
+
+
+def _recursive_face_weight(faces, z):
+    """w(z) by the recursion on rational vertex lists: hull the faces
+    projected along z's largest component j, then (1/(n-1)) times the
+    integral of the last one's support function against the others'
+    measure, over |z_j|; in R^3 that measure is `_facet_width_measure`."""
+    if any(len(f) == 1 for f in faces):
+        return Fraction(0)
+    n = z.n
+    j = max(range(n), key=lambda k: abs(z.z[k]))
+    proj = [convex_hull([v[:j] + v[j + 1:] for v in f]) for f in faces]
+    measure = (AtomicMeasure(_facet_width_measure(proj[0])) if n == 3
+               else mixed_area_measure(proj[:-1]))
+    return Fraction(measure.integrate_support(proj[-1]), (n - 1) * abs(z.z[j]))
+
+
+def _plane_face(rng, z, basis, kind, den, big):
+    """The vertices of a point, segment or polygon in a hyperplane <x, z> = c:
+    a rational base point plus combinations of the basis of z's orthogonal
+    complement, with coefficients over den."""
+    span = 2 ** 70 if big else 6
+    base = tuple(Fraction(rng.randrange(-span, span + 1), rng.choice((1, den))) for _ in z.z)
+    count = {"point": 1, "segment": 2, "polygon": rng.randrange(3, 8)}[kind]
+    while True:
+        pts = set()
+        for _ in range(count):
+            cs = [Fraction(rng.randrange(-5 * den, 5 * den + 1), den) for _ in basis]
+            pts.add(tuple(b + sum(c * u[i] for c, u in zip(cs, basis)) for i, b in enumerate(base)))
+        face = convex_hull(pts)
+        if {"point": 0, "segment": 1}.get(kind, 2) <= face.dim:
+            return face
+
+
+def _complement_basis(rng, z, k):
+    """k integer vectors orthogonal to z: a*|z|^2 - <a, z>*z for random a."""
+    out = []
+    while len(out) < k:
+        a = tuple(rng.randrange(-3, 4) for _ in z.z)
+        u = tuple(x * z.norm_sq() - dot(a, z.z) * y for x, y in zip(a, z.z))
+        if any(u) and len(out) + 1 == matrank(out + [u]):
+            out.append(u)
+    return out
+
+
+def _weight_cases():
+    """Seeded pairs of R^3 faces in parallel planes, each as (features, z, F_1, F_2)."""
+    rng = random.Random(2901)
+    kinds = ["point", "segment", "polygon"]
+    cases = []
+    for _ in range(720):
+        z = _random_direction(rng, 3)
+        basis = _complement_basis(rng, z, 2)
+        k1, k2 = rng.choice(kinds), rng.choice(kinds)
+        dens = [rng.choice((1, 1, 3, 10 ** 9 + 7)) for _ in range(2)]
+        big = rng.random() < 0.1
+        f1, f2 = (_plane_face(rng, z, basis, k, d, big) for k, d in zip((k1, k2), dens))
+        features = {f"{k1} x {k2}", f"drop {max(range(3), key=lambda k: abs(z.z[k]))}"}
+        if k1 == k2 == "segment" and rng.random() < 0.4:
+            # a parallel copy of the first segment, moved and rescaled
+            d = vsub(f1.vertices[1], f1.vertices[0])
+            t = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
+            f2 = segment(f2.vertices[0], vadd(f2.vertices[0], tuple(t * x for x in d)))
+            features.add("parallel segments")
+        if f1.image[1] != f2.image[1]:
+            features.add("different denominators")
+        if any(abs(x) > 2 ** 64 for f in (f1, f2) for v in f.image[0] for x in v):
+            features.add("beyond 2^64")
+        cases.append((features, z, f1, f2))
+    return cases
+
+
+def _random_direction(rng, n):
+    while True:
+        z = tuple(rng.randrange(-4, 5) for _ in range(n))
+        if any(z):
+            return Direction.of(z)
+
+
+def test_face_weight_matches_the_recursion():
+    """The integer edge sum equals, by repr, the recursion
+    (projected hulls, the planar measure, `integrate_support`), on a seeded
+    corpus of face pairs in R^3 with exact feature counts, and on triples
+    of faces in R^4 out to the recursion's integer R^3 weights."""
+    features = collections.Counter()
+    for tags, z, f1, f2 in _weight_cases():
+        got = _face_weight([f1.image, f2.image], z)
+        assert repr(got) == repr(_recursive_face_weight([f1.vertices, f2.vertices], z)), tags
+        features.update(tags)
+        features["zero weight"] += got == 0
+    # a point face or parallel segments give 0
+    assert features == {
+        "point x point": 75, "point x segment": 73, "point x polygon": 76,
+        "segment x point": 76, "segment x segment": 92, "segment x polygon": 86,
+        "polygon x point": 79, "polygon x segment": 74, "polygon x polygon": 89,
+        "parallel segments": 38, "drop 0": 317, "drop 1": 229, "drop 2": 174,
+        "different denominators": 446, "beyond 2^64": 81, "zero weight": 418}
+    rng = random.Random(2902)
+    dims = collections.Counter()
+    for _ in range(60):
+        z = _random_direction(rng, 4)
+        basis = _complement_basis(rng, z, 3)
+        faces = [_plane_face(rng, z, basis, rng.choice(["point"] + ["segment"] * 3 + ["polygon"] * 6),
+                             rng.choice((1, 2, 5)), False) for _ in range(3)]
+        got = _face_weight([f.image for f in faces], z)
+        assert repr(got) == repr(_recursive_face_weight([f.vertices for f in faces], z))
+        dims.update({f"a {f.dim}-face" for f in faces})
+        dims["zero weight"] += got == 0
+    # triples with a face of each dimension; exactly those with a point weigh 0
+    assert dims == {"a 0-face": 19, "a 1-face": 40, "a 2-face": 19, "a 3-face": 46,
+                    "zero weight": 19}
+
+
+def test_planar_measure_matches_the_facet_widths():
+    """In R^2, `mixed_area_measure` gives the atoms of
+    `_facet_width_measure`, insertion order included, on seeded polygons,
+    segments and points with exact counts."""
+    rng = random.Random(2903)
+    kinds = collections.Counter()
+    for _ in range(300):
+        den = rng.choice((1, 1, 4, 10 ** 9 + 7))
+        span = 2 ** 70 if rng.random() < 0.1 else 9
+        count = rng.choice((1, 2, 2, 3, 4, 6, 9))
+        p = convex_hull([tuple(Fraction(rng.randrange(-span, span + 1), den) for _ in range(2))
+                         for _ in range(count)])
+        got = list(mixed_area_measure([p]).atoms.items())
+        assert repr(got) == repr(list(_facet_width_measure(p).items()))
+        kinds[("point", "segment", "polygon")[p.dim]] += 1
+        kinds["beyond 2^64"] += any(abs(x) > 2 ** 64 for v in p.image[0] for x in v)
+    assert kinds == {"point": 42, "segment": 81, "polygon": 177, "beyond 2^64": 39}
+
+
+# ------------------------------------------ the overlay's straddle filter
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _rows(b, ids):
+    return [b.image[0][v] for v in ids], b.image[1]
+
+
+def _overlay_all_pairs(k, c, pairs):
+    """S(K, C, .) with the exact crossing test on every pair of edge arcs,
+    as the overlay ran before its straddle filter.  Tallies each pair in
+    pairs by the signs of its K-arc's ends against the C-arc's plane."""
+    bodies = (k, c)
+    atoms = {}
+    for i, b in enumerate(bodies):
+        for f in b.facets:
+            z = f.normal
+            if z in atoms:
+                continue
+            other = face_ids(bodies[1 - i], z)
+            if len(other) == 1:
+                continue
+            faces = [_rows(b, f.vertex_ids), _rows(bodies[1 - i], other)]
+            atoms[z] = _face_weight(faces if i == 0 else faces[::-1], z)
+    arcs_k, arcs_c = ([(_arc(*(b.facets[x].normal.z for x in e.facet_ids)), e) for e in b.edges]
+                      for b in bodies)
+    for arc_e, e in arcs_k:
+        for arc_f, f in arcs_c:
+            s1, s2 = (_sign(dot(arc_f[0], k.facets[x].normal.z)) for x in e.facet_ids)
+            pairs[{-1: "straddling", 1: "one side"}.get(s1 * s2) if s1 * s2
+                  else "both ends on the circle" if s1 == s2 == 0 else "one end on the circle"] += 1
+            x = cross3(arc_e[0], arc_f[0])
+            if not any(x):
+                continue
+            if not _in_arc(x, arc_e, strict=True):
+                x = (-x[0], -x[1], -x[2])
+                if not _in_arc(x, arc_e, strict=True):
+                    continue
+            if _in_arc(x, arc_f, strict=True):
+                z = Direction(primitive(x))
+                pairs["crossing"] += 1
+                atoms[z] = _face_weight([_rows(k, e.vertex_ids), _rows(c, f.vertex_ids)], z)
+    return AtomicMeasure(atoms)
+
+
+def _vertex_body(rng, count):
+    """A random integer 3-polytope with exactly count vertices."""
+    while True:
+        p = convex_hull([tuple(rng.randrange(-6, 7) for _ in range(3)) for _ in range(3 * count)])
+        if len(p.vertices) == count:
+            return p
+
+
+def test_straddle_filter_keeps_every_crossing(monkeypatch):
+    """The overlay's atoms equal, insertion order included, those of the
+    loop over every arc pair, and the overlay makes one crossing test
+    (one `cross3` beyond its arcs' own) for each straddling pair only."""
+    cube = convex_hull(itertools.product((-1, 1), repeat=3))
+    body14 = _vertex_body(random.Random(2904), 14)
+    ball = ball_polytope(200)
+    cases = [(k, c) for _, k, c in _overlay_cases()]
+    cases += [(ball, cube), (cube, ball), (ball, body14), (body14, ball),
+              (cube, truncated_cube()),  # truncated cube normals on the cube's circles
+              (cube, scale_translate(cube, 3, (1, 0, 2)))]  # arcs on shared circles
+    am = sys.modules["afel.area_measure"]
+    real, calls = am.cross3, []
+    monkeypatch.setattr(am, "cross3", lambda a, b: calls.append(1) or real(a, b))
+    pairs, tallies = collections.Counter(), []
+    for k, c in cases:
+        seen = collections.Counter()
+        expected = list(_overlay_all_pairs(k, c, seen).atoms.items())
+        calls.clear()
+        assert list(_gauss_overlay(k, c).atoms.items()) == expected
+        assert len(calls) == 3 * (len(k.edges) + len(c.edges)) + seen["straddling"]
+        pairs += seen
+        tallies.append(seen)
+    assert len(body14.vertices) == 14 and len(ball.edges) == 484
+    end_on_circle, one_circle = tallies[-2:]
+    assert end_on_circle["one end on the circle"] == 288 and one_circle["both ends on the circle"] == 48
+    # 8196 of the 57312 pairs are tested, and 325 of those cross
+    assert pairs == {"straddling": 8196, "one side": 40901, "one end on the circle": 6336,
+                     "both ends on the circle": 1879, "crossing": 325}

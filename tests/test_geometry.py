@@ -35,7 +35,7 @@ from afel.geometry import (
 from afel.hull import _chain_2d as chain_2d, hull_structure
 from afel.linalg import dot, integerize, matrank, primitive, vadd, vsub
 
-from conftest import random_body
+from conftest import patch_in_afel, random_body
 
 
 def test_hull_of_own_vertices():
@@ -112,6 +112,24 @@ def test_hausdorff(unit_cube):
     small = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     big = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
     assert hausdorff_distance_sq(small, big) == 2
+
+
+def test_hausdorff_hulls_each_flat_chart_once(monkeypatch, unit_cube):
+    """A Hausdorff distance hulls a flat body's chart once, not once per
+    vertex of the other body on its plane, and keeps the values of the
+    per-point distances."""
+    tri = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0)])
+    square = convex_hull([(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1)])
+    pairs = [(tri, unit_cube), (unit_cube, tri), (tri, square), (tri, tri), (unit_cube, unit_cube)]
+    expected = [max(dist_sq_point(b, v) for a, b in ((p, q), (q, p)) for v in a.vertices)
+                for p, q in pairs]
+    hulls = []
+    patch_in_afel(monkeypatch, {convex_hull: lambda pts: hulls.append(1) or convex_hull(pts)})
+    for (p, q), d in zip(pairs, expected):
+        hulls.clear()
+        assert hausdorff_distance_sq(p, q) == d
+        assert len(hulls) == (p.dim < 3) + (q.dim < 3)
+    assert expected == [4, 4, 2, 0, 0]
 
 
 def test_minkowski_difference_examples(unit_cube, tetra):
